@@ -44,9 +44,12 @@ class AtlasScheduler(Scheduler):
         self, queue: Sequence[Request], channel: ChannelState, now: float
     ) -> Request:
         self._tick(now)
-        over = [r for r in queue if now - r.arrival_ns > _OVER_THRESHOLD_NS]
-        if over:
-            return self.oldest(over)
+        # Waiting time falls with arrival, so some request is over the
+        # threshold iff the oldest one is, and then it is the oldest
+        # over-threshold request.
+        head = self.head(queue)
+        if now - head.arrival_ns > _OVER_THRESHOLD_NS:
+            return head
         pool = self.ready_subset(queue, channel, now)
         least = min(self.attained[r.core] for r in pool)
         candidates = [r for r in pool if self.attained[r.core] == least]

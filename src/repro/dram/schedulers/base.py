@@ -43,6 +43,18 @@ class Scheduler:
         return min(requests, key=lambda r: (r.arrival_ns, r.req_id))
 
     @staticmethod
+    def head(queue: Sequence[Request]) -> Request:
+        """The oldest request of a whole channel queue.
+
+        An arrival-ordered :class:`repro.dram.queue.ChannelQueue` reads
+        its head in O(1); plain sequences fall back to :meth:`oldest`.
+        """
+        indexed_oldest = getattr(queue, "oldest", None)
+        if indexed_oldest is not None:
+            return indexed_oldest()
+        return Scheduler.oldest(queue)
+
+    @staticmethod
     def row_hits(
         requests: Sequence[Request], channel: ChannelState
     ) -> List[Request]:
@@ -56,14 +68,21 @@ class Scheduler:
         indexed_hits = getattr(requests, "open_row_hits", None)
         if indexed_hits is not None:
             return indexed_hits(channel)
-        return [r for r in requests if channel.is_row_hit(r)]
+        # channel.is_row_hit inlined: this scan runs on every ATLAS/TCM
+        # selection. Missing banks are materialised just the same.
+        banks = channel.banks
+        return [
+            r
+            for r in requests
+            if (banks.get(r.bank) or channel.bank(r.bank)).open_row == r.row
+        ]
 
     def hit_first_oldest(
         self, requests: Sequence[Request], channel: ChannelState
     ) -> Request:
         """Prefer row hits, then oldest — the FR-FCFS core rule."""
         hits = self.row_hits(requests, channel)
-        return self.oldest(hits) if hits else self.oldest(requests)
+        return self.oldest(hits) if hits else self.head(requests)
 
     @staticmethod
     def ready_subset(
@@ -79,10 +98,23 @@ class Scheduler:
         (when non-empty) lets bank preparation overlap the bus instead of
         stalling it. FCFS deliberately does not use this — head-of-line
         blocking is its defining flaw.
+
+        The ready set is every request with ``channel.earliest_data_start
+        <= now + window_ns``. A whole-queue :class:`repro.dram.queue.
+        ChannelQueue` finds it with a per-bank test over its
+        arrival-ordered bank buckets (:meth:`ChannelQueue.ready`);
+        filtered subsets and plain lists fall back to the per-request
+        scan. Either way the same set is produced and the same banks are
+        materialised. The result's order is unspecified: callers reduce
+        it with keyed ``min``.
         """
-        ready = [
-            r
-            for r in requests
-            if channel.earliest_data_start(r, now) <= now + window_ns
-        ]
+        indexed_ready = getattr(requests, "ready", None)
+        if indexed_ready is not None:
+            ready = indexed_ready(channel, now, window_ns)
+        else:
+            ready = [
+                r
+                for r in requests
+                if channel.earliest_data_start(r, now) <= now + window_ns
+            ]
         return ready if ready else list(requests)

@@ -22,4 +22,4 @@ class FCFSScheduler(Scheduler):
     def select(
         self, queue: Sequence[Request], channel: ChannelState, now: float
     ) -> Request:
-        return self.oldest(queue)
+        return self.head(queue)

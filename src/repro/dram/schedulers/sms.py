@@ -13,14 +13,13 @@ sources (Ausavarungnirun et al., ISCA 2012).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.dram.bank import ChannelState
 from repro.dram.request import Request
 from repro.dram.schedulers.base import Scheduler
 
 _SJF_PROBABILITY = 0.9
-_MAX_BATCH = 8
 
 
 class SMSScheduler(Scheduler):
@@ -36,56 +35,60 @@ class SMSScheduler(Scheduler):
         self._rr_pointer = 0
 
     @staticmethod
-    def _head_batch(requests: List[Request]) -> List[Request]:
-        """The leading same-row run of one core's queue (capped)."""
-        head = sorted(requests, key=lambda r: (r.arrival_ns, r.req_id))
-        batch = [head[0]]
-        for r in head[1:]:
-            if len(batch) >= _MAX_BATCH:
-                break
-            if r.row == batch[0].row and r.bank == batch[0].bank:
-                batch.append(r)
-            else:
-                break
-        return batch
+    def _by_core(
+        queue: Sequence[Request],
+    ) -> Mapping[int, Mapping[int, Request]]:
+        """Each core's queued requests in arrival order, keyed by req_id.
+
+        A :class:`repro.dram.queue.ChannelQueue` keeps this index;
+        plain sequences are grouped after an arrival sort.
+        """
+        indexed = getattr(queue, "by_core", None)
+        if indexed is not None:
+            return indexed()
+        by_core: Dict[int, Dict[int, Request]] = {}
+        for r in sorted(queue, key=lambda r: (r.arrival_ns, r.req_id)):
+            by_core.setdefault(r.core, {})[r.req_id] = r
+        return by_core
 
     def select(
         self, queue: Sequence[Request], channel: ChannelState, now: float
     ) -> Request:
-        by_core = {}
-        for r in queue:
-            by_core.setdefault(r.core, []).append(r)
+        by_core = self._by_core(queue)
 
         # Stick with the active batch while it still has requests queued.
-        if self._active_core in by_core:
-            active = [
-                r
-                for r in by_core[self._active_core]
-                if r.row == self._active_row
-            ]
-            if active:
-                return self.oldest(active)
+        active = by_core.get(self._active_core)
+        if active is not None:
+            # lint: disable=LINT001 — each core's bucket is in
+            # (arrival_ns, req_id) order (ChannelQueue appends in
+            # arrival order; the list path sorts), so the first match
+            # is the oldest. Pinned by the list-queue equivalence tests
+            # in tests/dram/test_queue.py.
+            for r in active.values():
+                if r.row == self._active_row:
+                    return r
         # Pick a new batch: SJF with probability p, else round-robin.
-        # "Shortest job" is the source with the least queued traffic, so
-        # light applications cut ahead of bandwidth hogs.
-        batches = {core: self._head_batch(rs) for core, rs in by_core.items()}
+        # A core's batch starts at its oldest request. "Shortest job" is
+        # the source with the least queued traffic, so light
+        # applications cut ahead of bandwidth hogs.
+        heads = {core: next(iter(rs.values())) for core, rs in by_core.items()}
         if self._rng.random() < _SJF_PROBABILITY:
-            # Final req_id tie-break: with queues whose iteration order
-            # is not arrival order, ties on (backlog, head arrival) must
-            # not fall through to dict insertion order. req_ids ascend
-            # with arrival, so this picks the same core a FIFO scan did.
+            # Final req_id tie-break: ties on (backlog, head arrival)
+            # must not fall through to dict insertion order. req_ids
+            # ascend with arrival, so this picks the same core a FIFO
+            # scan did.
             core = min(
-                batches,
+                heads,
                 key=lambda c: (
                     len(by_core[c]),
-                    batches[c][0].arrival_ns,
-                    batches[c][0].req_id,
+                    heads[c].arrival_ns,
+                    heads[c].req_id,
                 ),
             )
         else:
-            cores = sorted(batches)
+            cores = sorted(heads)
             core = cores[self._rr_pointer % len(cores)]
             self._rr_pointer += 1
         self._active_core = core
-        self._active_row = batches[core][0].row
-        return batches[core][0]
+        self._active_row = heads[core].row
+        return heads[core]

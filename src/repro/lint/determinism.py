@@ -13,9 +13,11 @@ Scenarios:
 
 - ``soc`` — a Xavier AGX co-run (GPU victim under looping CPU pressure)
   through :class:`repro.soc.engine.CoRunEngine`, timeline included;
-- ``dram`` — a 2-core DRAM simulation through
-  :class:`repro.dram.system.CMPSystem` with the SMS scheduler (the
-  policy whose tie-break PR 1 had to fix).
+- ``dram`` — a saturated 16-core DRAM simulation through
+  :class:`repro.dram.system.CMPSystem` under ATLAS, TCM and SMS: the
+  policies whose selections read the channel queue's insertion-ordered
+  indexes (ready set, per-core buckets) and whose tie-breaks once
+  leaked dict order.
 
 ``--traced`` runs the same scenario under an active observability
 session (tracing + metrics on) while printing the *same* result
@@ -56,16 +58,29 @@ def soc_scenario() -> Dict[str, Any]:
     }
 
 
+#: Policies of the ``dram`` scenario and its saturating traffic: 16 cores
+#: demanding 128 GB/s of DDR4-3200's 102.4 GB/s peak keep the channel
+#: queues deep enough that ATLAS and TCM select through the ready set.
+DRAM_POLICIES = ("atlas", "tcm", "sms")
+DRAM_CORES = 16
+DRAM_DEMAND_GBPS = 128.0
+DRAM_REQUESTS_PER_CORE = 200
+
+
 def dram_scenario() -> Dict[str, Any]:
-    """2-core DRAM simulation under the SMS scheduler."""
+    """Saturated 16-core DRAM simulation under each of DRAM_POLICIES."""
     from repro.dram.system import CMPSystem
 
-    system = CMPSystem(policy="sms", seed=1)
-    cores = system.group_configs(
-        group_demand_gbps=24.0, n_cores=2, requests_per_core=300
-    )
-    result = system.run(cores)
-    return {"scenario": "dram", "result": dataclasses.asdict(result)}
+    results = {}
+    for policy in DRAM_POLICIES:
+        system = CMPSystem(policy=policy, seed=1)
+        cores = system.group_configs(
+            group_demand_gbps=DRAM_DEMAND_GBPS,
+            n_cores=DRAM_CORES,
+            requests_per_core=DRAM_REQUESTS_PER_CORE,
+        )
+        results[policy] = dataclasses.asdict(system.run(cores))
+    return {"scenario": "dram", "results": results}
 
 
 def canonical_json(payload: Dict[str, Any]) -> str:

@@ -1,13 +1,19 @@
 """ChannelQueue indexing, buffer-waiter FIFO, and fast-path equivalence."""
 
+import contextlib
 import dataclasses
+import functools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.dram import system as dram_system
 from repro.dram.bank import ChannelState
 from repro.dram.cores import CoreConfig, CoreState, staggered_base
 from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
+from repro.dram.schedulers import atlas
+from repro.dram.schedulers.base import Scheduler
 from repro.dram.system import BufferWaitQueue, CMPSystem
 from repro.dram.timing import DDR4_3200
 
@@ -33,7 +39,48 @@ class TestChannelQueue:
             queue.append(r)
         assert len(queue) == 5
         assert bool(queue)
-        assert set(r.req_id for r in queue) == set(range(5))
+        assert [r.req_id for r in queue] == list(range(5))
+
+    def test_removal_keeps_arrival_order(self):
+        queue = ChannelQueue()
+        requests = [
+            make_request(i, bank=i % 3, arrival=float(i), core=i % 2)
+            for i in range(8)
+        ]
+        for r in requests:
+            queue.append(r)
+        for victim in (requests[0], requests[4], requests[7]):
+            queue.remove(victim)
+        assert [r.req_id for r in queue] == [1, 2, 3, 5, 6]
+        assert queue.oldest() is requests[1]
+        assert {c: list(g) for c, g in queue.by_core().items()} == {
+            1: [1, 3, 5],
+            0: [2, 6],
+        }
+        for r in list(queue):
+            queue.remove(r)
+        assert not queue.by_core()
+
+    def test_ready_materialises_exactly_the_queued_banks(self):
+        """Refresh only touches materialised banks, so ready() must
+        create bank state for every bank with queued requests — also
+        the ones with nothing ready — and for no other bank."""
+        from repro.dram.schedulers.base import Scheduler
+
+        queue = ChannelQueue()
+        for i, bank in enumerate((5, 2, 5, 7)):
+            queue.append(make_request(i, bank=bank, row=i, arrival=0.0))
+        indexed, scanned = (
+            ChannelState(index=0, timing=DDR4_3200) for _ in range(2)
+        )
+        for channel in (indexed, scanned):
+            channel.bank(0).ready_at = 1e9  # an idle, unqueued bank
+            channel.bank(7).ready_at = 1e9  # queued but never ready
+        fast = Scheduler.ready_subset(queue, indexed, 20.0)
+        slow = Scheduler.ready_subset(list(queue), scanned, 20.0)
+        assert {r.req_id for r in fast} == {r.req_id for r in slow}
+        assert {r.req_id for r in fast} == {0, 1, 2}
+        assert sorted(indexed.banks) == sorted(scanned.banks) == [0, 2, 5, 7]
 
     def test_remove_is_membership_exact(self):
         queue = ChannelQueue()
@@ -160,3 +207,207 @@ class TestFastQueueEquivalence:
         )
         assert fast == slow
         assert fast.cores[0].finish_ns is not None
+
+
+# ----------------------------------------------------------------------
+# Ready-set property: the per-bank test equals the per-request scan
+# ----------------------------------------------------------------------
+N_BANKS = 4
+
+# Times are drawn as offsets from ``limit = now + window``. Offsets of
+# exactly -(prep) for DDR4-3200's preparation times (0, tRCD = 13.75,
+# tRP + tRCD = 27.5 ns), give or take a quarter nanosecond, put requests
+# and banks right on the readiness boundary; with ``now`` off the
+# quarter-ns grid (7800.1, 1e6 + 0.3) the sums round instead.
+_PREPS = (0.0, DDR4_3200.t_rcd_ns, DDR4_3200.t_rp_ns + DDR4_3200.t_rcd_ns)
+_offset = st.one_of(
+    st.tuples(
+        st.sampled_from(_PREPS), st.sampled_from((-0.25, 0.0, 0.25))
+    ).map(lambda t: -(t[0] + t[1])),
+    st.integers(-240, 40).map(lambda k: k * 0.25),
+)
+_bank_state = st.none() | st.tuples(st.none() | st.integers(0, 2), _offset)
+_request = st.tuples(
+    st.integers(0, N_BANKS - 1),  # bank
+    st.integers(0, 2),  # row
+    st.integers(0, 3),  # core
+    _offset,  # arrival
+)
+
+
+def _channel_with(banks, limit):
+    """A channel whose listed banks exist; ``None`` leaves one absent."""
+    channel = ChannelState(index=0, timing=DDR4_3200)
+    for index, spec in enumerate(banks):
+        if spec is not None:
+            open_row, ready_offset = spec
+            channel.bank(index).open_row = open_row
+            channel.bank(index).ready_at = limit + ready_offset
+    return channel
+
+
+class TestReadyProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        now=st.sampled_from([0.0, 100.0, 7800.1, 1e6 + 0.3]),
+        window=st.sampled_from([0.0, 3.0, 10.5]),
+        banks=st.lists(_bank_state, min_size=N_BANKS, max_size=N_BANKS),
+        specs=st.lists(_request, max_size=30),
+        removed=st.sets(st.integers(0, 29)),
+    )
+    def test_ready_set_matches_scan(self, now, window, banks, specs, removed):
+        limit = now + window
+        # Oldest first, as the event loop appends; ties keep req_id order.
+        specs = sorted(specs, key=lambda s: s[3])
+        queue = ChannelQueue()
+        for req_id, (bank, row, core, offset) in enumerate(specs):
+            queue.append(
+                make_request(req_id, bank, row, limit + offset, core=core)
+            )
+        for r in list(queue):
+            if r.req_id in removed:
+                queue.remove(r)
+        reference = list(queue)
+
+        indexed = _channel_with(banks, limit)
+        scanned = _channel_with(banks, limit)
+        ready = queue.ready(indexed, now, window)
+        expected = [
+            r
+            for r in reference
+            if scanned.earliest_data_start(r, now) <= now + window
+        ]
+        assert sorted(r.req_id for r in ready) == [
+            r.req_id for r in expected
+        ]
+        # Same banks materialised as the scan: the set refresh touches.
+        assert sorted(indexed.banks) == sorted(scanned.banks)
+
+        subset = Scheduler.ready_subset(queue, indexed, now, window)
+        scan_subset = Scheduler.ready_subset(reference, scanned, now, window)
+        assert {r.req_id for r in subset} == {
+            r.req_id for r in scan_subset
+        }
+
+        # Iteration is arrival order; the head is the scan's oldest.
+        assert reference == sorted(
+            reference, key=lambda r: (r.arrival_ns, r.req_id)
+        )
+        if reference:
+            assert queue.oldest() is Scheduler.oldest(reference)
+            assert Scheduler.head(queue) is Scheduler.head(reference)
+        for core, group in queue.by_core().items():
+            assert list(group.values()) == [
+                r for r in reference if r.core == core
+            ]
+
+
+# ----------------------------------------------------------------------
+# Saturated equivalence: the indexed paths under deep queues
+# ----------------------------------------------------------------------
+# 16 cores at 92 GB/s on one DDR4-3200 channel (25.6 GB/s peak) with a
+# 512-entry buffer: queues stay hundreds deep, every policy runs past two
+# refresh intervals, and ATLAS waits beyond its 2000 ns over-threshold.
+SATURATED = dataclasses.replace(DDR4_3200, channels=1, request_buffer=512)
+TINY_BUFFER = dataclasses.replace(SATURATED, request_buffer=8)
+
+
+def saturated_cores(requests=360):
+    return [
+        CoreConfig(
+            demand_gbps=2.0 + 0.5 * i,
+            total_requests=requests,
+            mshr=32,
+            burst_lines=16,
+            write_fraction=0.5 if i % 2 else 0.0,
+            address_base=staggered_base(i, DDR4_3200.banks_per_channel),
+        )
+        for i in range(16)
+    ]
+
+
+@contextlib.contextmanager
+def recording_channels():
+    """Swap the engine's ChannelState for one that logs, at every
+    refresh, which banks exist (the banks the refresh touches)."""
+    refreshes = []
+    channels = []
+
+    class RecordingChannel(ChannelState):
+        def __post_init__(self):
+            super().__post_init__()
+            channels.append(self)
+
+        def refresh_if_due(self, now):
+            due = self.timing.refresh_enabled and now >= self.next_refresh_ns
+            if due:
+                refreshes.append((self.index, now, tuple(sorted(self.banks))))
+            return super().refresh_if_due(now)
+
+    original = dram_system.ChannelState
+    dram_system.ChannelState = RecordingChannel
+    try:
+        yield refreshes, channels
+    finally:
+        dram_system.ChannelState = original
+
+
+@functools.lru_cache(maxsize=None)
+def saturated_run(policy, indexed, timing=SATURATED):
+    factory = ChannelQueue if indexed else list
+    with recording_channels() as (refreshes, channels):
+        result = CMPSystem(
+            timing=timing, policy=policy, seed=3, queue_factory=factory
+        ).run(saturated_cores())
+    banks = tuple(tuple(sorted(c.banks)) for c in channels)
+    return result, tuple(refreshes), banks
+
+
+class TestSaturatedEquivalence:
+    def test_scenario_is_saturated(self):
+        demand = sum(c.demand_gbps for c in saturated_cores())
+        assert demand > SATURATED.peak_bw_gbps
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_bit_identical_to_list_queue(self, policy):
+        fast, _, _ = saturated_run(policy, True)
+        slow, _, _ = saturated_run(policy, False)
+        assert fast == slow
+        assert fast.elapsed_ns > 2 * SATURATED.t_refi_ns
+        assert all(c.completed == c.issued for c in fast.cores)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_bank_materialisation_identical(self, policy):
+        """The banks existing at each refresh and at the end of the run
+        match the scan path's: refresh only touches materialised banks,
+        so a ready index that skipped one would change timing."""
+        _, fast_refreshes, fast_banks = saturated_run(policy, True)
+        _, slow_refreshes, slow_banks = saturated_run(policy, False)
+        assert len(fast_refreshes) >= 2
+        assert fast_refreshes == slow_refreshes
+        assert fast_banks == slow_banks
+
+    def test_atlas_runs_over_threshold(self, monkeypatch):
+        result, _, _ = saturated_run("atlas", True)
+        assert result.p99_latency_ns > 2000.0
+        over = []
+        select = atlas.AtlasScheduler.select
+
+        def counting_select(self, queue, channel, now):
+            head = Scheduler.oldest(list(queue))
+            over.append(now - head.arrival_ns > atlas._OVER_THRESHOLD_NS)
+            return select(self, queue, channel, now)
+
+        monkeypatch.setattr(atlas.AtlasScheduler, "select", counting_select)
+        assert CMPSystem(timing=SATURATED, policy="atlas", seed=3).run(
+            saturated_cores()
+        ) == result
+        assert sum(over) > 100
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_tiny_buffer_identical(self, policy):
+        fast, fast_refreshes, _ = saturated_run(policy, True, TINY_BUFFER)
+        slow, slow_refreshes, _ = saturated_run(policy, False, TINY_BUFFER)
+        assert fast == slow
+        assert fast_refreshes == slow_refreshes
+        assert all(c.completed == c.issued for c in fast.cores)

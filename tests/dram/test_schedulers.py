@@ -167,19 +167,28 @@ class TestSMS:
         if first.core == 0:
             assert second.core == 0 and second.row == 1
 
-    def test_batch_capped(self):
-        requests = [req(i, core=0, bank=0, row=1, arrival=i) for i in range(20)]
-        batch = SMSScheduler._head_batch(requests)
-        assert len(batch) == 8
+    @pytest.mark.parametrize("container", ("list", "channel_queue"))
+    def test_new_batch_starts_at_core_oldest(self, channel, container):
+        from repro.dram.queue import ChannelQueue
 
-    def test_head_batch_stops_at_row_change(self):
         requests = [
             req(0, core=0, bank=0, row=1, arrival=0.0),
             req(1, core=0, bank=0, row=1, arrival=1.0),
-            req(2, core=0, bank=0, row=2, arrival=2.0),
+            req(2, core=0, bank=0, row=3, arrival=2.0),
         ]
-        batch = SMSScheduler._head_batch(requests)
-        assert [r.req_id for r in batch] == [0, 1]
+        if container == "list":
+            queue = list(reversed(requests))  # scan path sorts by arrival
+        else:
+            queue = ChannelQueue()
+            for r in requests:
+                queue.append(r)
+        sched = SMSScheduler(1, seed=1)
+        served = []
+        for _ in requests:
+            choice = sched.select(queue, channel, 10.0)
+            queue.remove(choice)
+            served.append(choice.req_id)
+        assert served == [0, 1, 2]
 
     def test_deterministic_given_seed(self, channel):
         queue = [

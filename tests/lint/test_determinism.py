@@ -62,17 +62,40 @@ def test_traced_runs_are_bit_identical(scenario):
     )
 
 
-def test_scenarios_are_nontrivial():
+def test_scenarios_are_nontrivial(monkeypatch):
     import json
 
+    from repro.dram.schedulers.base import Scheduler
+    from repro.dram.timing import DDR4_3200
+    from repro.lint import determinism
     from repro.lint.determinism import run_scenario as run_inline
 
     soc = json.loads(run_inline("soc"))
     assert soc["result"]["outcomes"], "soc scenario simulated nothing"
     assert soc["result"]["elapsed"] > 0
+
+    # The dram scenario must saturate the controller so that selection
+    # goes through the queue's ready index, not just its head.
+    ready_calls = []
+    ready_subset = Scheduler.ready_subset
+
+    def counting_ready_subset(*args, **kwargs):
+        ready_calls.append(1)
+        return ready_subset(*args, **kwargs)
+
+    monkeypatch.setattr(
+        Scheduler, "ready_subset", staticmethod(counting_ready_subset)
+    )
     dram = json.loads(run_inline("dram"))
-    assert len(dram["result"]["cores"]) == 2
-    assert all(c["completed"] > 0 for c in dram["result"]["cores"])
+    assert ready_calls, "dram scenario never selected through ready_subset"
+    assert determinism.DRAM_DEMAND_GBPS > DDR4_3200.peak_bw_gbps
+    assert sorted(dram["results"]) == sorted(determinism.DRAM_POLICIES)
+    for result in dram["results"].values():
+        assert len(result["cores"]) == determinism.DRAM_CORES
+        assert all(
+            c["completed"] == determinism.DRAM_REQUESTS_PER_CORE
+            for c in result["cores"]
+        )
 
 
 def test_unknown_scenario_rejected():
