@@ -9,7 +9,7 @@ same-stride streams spread across banks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dram.timing import DramTiming
 from repro.errors import ConfigurationError
@@ -21,9 +21,12 @@ def _log2(value: int, what: str) -> int:
     return value.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
-    """Coordinates of one cacheline."""
+class DecodedAddress(NamedTuple):
+    """Coordinates of one cacheline.
+
+    A named tuple: decode runs once per request, and the event loop
+    unpacks it positionally.
+    """
 
     channel: int
     bank: int
@@ -42,6 +45,8 @@ class AddressMapper:
         self.bank_bits = _log2(timing.banks_per_channel, "banks_per_channel")
         lines_per_row = timing.row_bytes // 64
         self.column_bits = _log2(lines_per_row, "row_bytes/64")
+        self._channel_mask = timing.channels - 1
+        self._column_mask = lines_per_row - 1
         self._bank_mask = timing.banks_per_channel - 1
 
     def decode(self, address: int) -> DecodedAddress:
@@ -49,14 +54,15 @@ class AddressMapper:
         if address < 0:
             raise ConfigurationError(f"address must be >= 0, got {address}")
         line = address >> self.LINE_BITS
-        channel = line & (self.timing.channels - 1)
+        channel = line & self._channel_mask
         line >>= self.channel_bits
-        column = line & ((1 << self.column_bits) - 1)
+        column = line & self._column_mask
         line >>= self.column_bits
-        bank_raw = line & self._bank_mask
         row = line >> self.bank_bits
-        bank = (bank_raw ^ row) & self._bank_mask
-        return DecodedAddress(channel=channel, bank=bank, row=row, column=column)
+        # The bank bits are the low bits of ``line``; the mask keeps
+        # only them of the XOR.
+        bank = (line ^ row) & self._bank_mask
+        return DecodedAddress(channel, bank, row, column)
 
     @property
     def line_stride(self) -> int:

@@ -82,16 +82,22 @@ class ChannelState:
         scheduled at ``earliest_data_start``; the core sees the data one
         CAS latency after the burst completes.
         """
-        bank = self.bank(request.bank)
-        prep, hit = bank.prep_time(request.row, self.timing)
-        data_start = self.earliest_data_start(request, now)
-        burst_end = data_start + self.timing.t_burst_ns
+        row = request.row
+        bank = self.banks.get(request.bank) or self.bank(request.bank)
+        timing = self.timing
+        prep, hit = bank.prep_time(row, timing)
+        # earliest_data_start with the bank and prep already in hand;
+        # the same float expression, so the same timeline.
+        burst_end = (
+            max(now, max(bank.ready_at, request.arrival_ns) + prep)
+            + timing.t_burst_ns
+        )
         self.bus_free_at = burst_end
-        bank.open_row = request.row
+        bank.open_row = row
         bank.ready_at = burst_end
         request.row_hit = hit
-        request.completion_ns = burst_end + self.timing.t_cas_ns
-        return request.completion_ns
+        completion = request.completion_ns = burst_end + timing.t_cas_ns
+        return completion
 
     def is_row_hit(self, request: Request) -> bool:
         """Whether the request would hit the currently open row."""

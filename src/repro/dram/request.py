@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -35,8 +35,3 @@ class Request:
     is_write: bool = False
     completion_ns: Optional[float] = None
     row_hit: Optional[bool] = None
-    batch_key: int = field(default=0)
-
-    @property
-    def bank_key(self):
-        return (self.channel, self.bank)

@@ -51,9 +51,7 @@ class AtlasScheduler(Scheduler):
         if now - head.arrival_ns > _OVER_THRESHOLD_NS:
             return head
         pool = self.ready_subset(queue, channel, now)
-        least = min(self.attained[r.core] for r in pool)
-        candidates = [r for r in pool if self.attained[r.core] == least]
-        return self.hit_first_oldest(candidates, channel)
+        return self.priority_hit_oldest(pool, channel, self.attained)
 
     def on_dispatch(self, request: Request, now: float) -> None:
         self._tick(now)

@@ -85,6 +85,37 @@ class Scheduler:
         return self.oldest(hits) if hits else self.head(requests)
 
     @staticmethod
+    def priority_hit_oldest(
+        pool: Sequence[Request],
+        channel: ChannelState,
+        priority: Sequence[float],
+    ) -> Request:
+        """Lowest per-core ``priority``, then row hits, then oldest.
+
+        One pass keeping the lexicographic minimum of ``(priority[core],
+        not row hit, arrival_ns, req_id)``: the same request as filtering
+        the pool to its best priority and applying
+        :meth:`hit_first_oldest`, without building the intermediate
+        lists. ``req_id`` is unique, so the minimum is too. ``pool`` must
+        be non-empty, and every bank of it must already exist in
+        ``channel.banks``: :meth:`ready_subset` returns a non-empty pool
+        and materialises every queued bank.
+        """
+        banks = channel.banks
+        best = None
+        best_key = None
+        for r in pool:
+            key = (
+                priority[r.core],
+                banks[r.bank].open_row != r.row,
+                r.arrival_ns,
+                r.req_id,
+            )
+            if best_key is None or key < best_key:
+                best, best_key = r, key
+        return best
+
+    @staticmethod
     def ready_subset(
         requests: Sequence[Request],
         channel: ChannelState,

@@ -67,12 +67,15 @@ class TCMScheduler(Scheduler):
     ) -> Request:
         self._tick(now)
         pool = self.ready_subset(queue, channel, now)
-        latency = [r for r in pool if r.core in self.latency_cluster]
-        if latency:
-            return self.hit_first_oldest(latency, channel)
-        best_rank = min(self.rank[r.core] for r in pool)
-        candidates = [r for r in pool if self.rank[r.core] == best_rank]
-        return self.hit_first_oldest(candidates, channel)
+        # The latency cluster ranks as -1, ahead of every bandwidth-
+        # cluster core: those always hold a rank >= 0 (all cores start
+        # in the latency cluster, and _reclassify ranks the rest 0..k-1).
+        latency = self.latency_cluster
+        priority = [
+            -1 if core in latency else rank
+            for core, rank in enumerate(self.rank)
+        ]
+        return self.priority_hit_oldest(pool, channel, priority)
 
     def on_dispatch(self, request: Request, now: float) -> None:
         self._tick(now)

@@ -240,85 +240,82 @@ class CMPSystem:
             ch_tracks = [f"dram.ch{i}" for i in range(len(channels))]
             policy_pair = ("policy", self.policy_name)
 
-        counter = itertools.count()
+        # The loop is flat: heap pushes, channel wakeups and generation
+        # re-arms are inlined, and per-run constants and bound methods
+        # live in locals. Each push takes the next counter value, which
+        # breaks time ties, so the push order below is part of the
+        # result: completion before the channel re-arm, then the
+        # buffer-waiter wakeups, touched channels in sorted order.
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        seq = itertools.count().__next__
+        select = scheduler.select
+        on_dispatch = scheduler.on_dispatch
+        decode = self.mapper.decode
+        record = metrics.record
+        add_waiter = buffer_waiters.add
+        pop_waiter = buffer_waiters.pop
         events: List[Tuple[float, int, int, int]] = []
 
-        def push(time: float, kind: int, payload: int) -> None:
-            heapq.heappush(events, (time, next(counter), kind, payload))
-
-        def push_gen(time: float, core: int) -> None:
-            if not states[core].gen_pending:
-                states[core].gen_pending = True
-                push(time, _GEN, core)
-
-        def wake_channel(ch: int, now: float) -> None:
-            if not serve_scheduled[ch] and queues[ch]:
-                serve_scheduled[ch] = True
-                push(max(now, channels[ch].bus_free_at), _SERVE, ch)
-
         for state in states:
-            push_gen(0.0, state.index)
+            state.gen_pending = True
+            heappush(events, (0.0, seq(), _GEN, state.index))
 
         now = 0.0
-        request_ids = itertools.count()
+        request_ids = itertools.count().__next__
         while events:
-            now, _, kind, payload = heapq.heappop(events)
+            now, _, kind, payload = heappop(events)
             if now > max_ns:
                 break
             if kind == _GEN:
                 state = states[payload]
                 state.gen_pending = False
-                if state.done_issuing:
+                config = state.config
+                total = config.total_requests
+                if state.issued >= total:
                     continue
                 if now + 1e-12 < state.next_gen_ns:
                     # Woken early (completion/buffer space): respect the
                     # demand pacing — cores never run ahead of their rate.
-                    push_gen(state.next_gen_ns, state.index)
+                    state.gen_pending = True
+                    heappush(events, (state.next_gen_ns, seq(), _GEN, payload))
                     continue
+                trace = config.trace
+                burst = config.burst_lines
+                mshr = config.mshr
                 issued_now = 0
                 touched = set()
-                while (
-                    issued_now < state.config.burst_lines
-                    and not state.done_issuing
-                ):
-                    if state.config.trace is not None:
-                        is_write = state.config.trace.records[
-                            state.issued
-                        ].is_write
+                while issued_now < burst and state.issued < total:
+                    if trace is not None:
+                        is_write = trace.records[state.issued].is_write
                     else:
-                        is_write = state.config.is_write_index(state.issued)
-                    if not is_write and state.inflight >= state.config.mshr:
+                        is_write = config.is_write_index(state.issued)
+                    if not is_write and state.inflight >= mshr:
                         state.blocked = True
                         break
                     if buffer_used >= buffer_cap:
                         state.blocked = True
-                        buffer_waiters.add(state)
+                        add_waiter(state)
                         break
                     state.blocked = False
                     address, is_write = state.next_access()
-                    decoded = self.mapper.decode(address)
+                    ch, bank, row, _ = decode(address)
                     request = Request(
-                        req_id=next(request_ids),
-                        core=state.index,
-                        channel=decoded.channel,
-                        bank=decoded.bank,
-                        row=decoded.row,
-                        arrival_ns=now,
-                        is_write=is_write,
+                        request_ids(), payload, ch, bank, row, now, is_write
                     )
-                    queues[decoded.channel].append(request)
+                    queues[ch].append(request)
                     if trace_on:
                         tracer.emit_event(
                             "req.enqueue",
                             time=now * _NS_TO_S,
-                            track=ch_tracks[decoded.channel],
+                            track=ch_tracks[ch],
                             category="dram",
                             args=(
-                                ("bank", request.bank),
-                                ("core", request.core),
+                                ("bank", bank),
+                                ("core", payload),
                                 ("req_id", request.req_id),
-                                ("row", request.row),
-                                ("write", request.is_write),
+                                ("row", row),
+                                ("write", is_write),
                             ),
                         )
                     buffer_used += 1
@@ -326,26 +323,39 @@ class CMPSystem:
                     if not is_write:
                         state.inflight += 1
                     issued_now += 1
-                    touched.add(decoded.channel)
+                    touched.add(ch)
                 # Sorted so the wake order (and thus heap tie-break
                 # counters) never depends on set iteration order.
                 for ch in sorted(touched):
-                    wake_channel(ch, now)
+                    if not serve_scheduled[ch]:
+                        serve_scheduled[ch] = True
+                        heappush(
+                            events,
+                            (max(now, channels[ch].bus_free_at), seq(),
+                             _SERVE, ch),
+                        )
                 if issued_now:
                     state.next_gen_ns = (
                         max(state.next_gen_ns, now)
-                        + issued_now * state.config.interval_ns
+                        + issued_now * config.interval_ns
                     )
-                    if not state.done_issuing and not state.blocked:
-                        push_gen(state.next_gen_ns, state.index)
+                    if state.issued < total and not state.blocked:
+                        state.gen_pending = True
+                        heappush(
+                            events, (state.next_gen_ns, seq(), _GEN, payload)
+                        )
             elif kind == _SERVE:
+                # The queue is not empty: a SERVE is pushed only for a
+                # non-empty queue, at most one is pending per channel,
+                # and only that SERVE removes the channel's requests.
                 ch = payload
                 serve_scheduled[ch] = False
                 queue = queues[ch]
-                if not queue:
-                    continue
                 channel = channels[ch]
-                if channel.refresh_if_due(now):
+                # refresh_if_due is False before next_refresh_ns; test
+                # that here and skip the call on almost every SERVE.
+                due = now >= channel.next_refresh_ns
+                if due and channel.refresh_if_due(now):
                     if trace_on:
                         tracer.emit_event(
                             "refresh",
@@ -355,18 +365,28 @@ class CMPSystem:
                         )
                     if metrics_on:
                         obs_metrics.counter("dram.refreshes").inc()
-                    wake_channel(ch, now)
+                    serve_scheduled[ch] = True
+                    heappush(
+                        events,
+                        (max(now, channel.bus_free_at), seq(), _SERVE, ch),
+                    )
                     continue
                 if now + 1e-12 < channel.bus_free_at:
-                    wake_channel(ch, now)
+                    serve_scheduled[ch] = True
+                    heappush(
+                        events,
+                        (max(now, channel.bus_free_at), seq(), _SERVE, ch),
+                    )
                     continue
-                request = scheduler.select(queue, channel, now)
+                request = select(queue, channel, now)
                 if trace_on or metrics_on:
                     outcome = _row_outcome(channel, request)
                 queue.remove(request)
                 buffer_used -= 1
                 completion = channel.dispatch(request, now)
-                scheduler.on_dispatch(request, now)
+                on_dispatch(request, now)
+                core = request.core
+                latency = completion - request.arrival_ns
                 if trace_on:
                     tracer.emit_event(
                         "sched.select",
@@ -387,7 +407,7 @@ class CMPSystem:
                         category="dram",
                         args=(
                             ("bank", request.bank),
-                            ("core", request.core),
+                            ("core", core),
                             ("outcome", outcome),
                             ("req_id", request.req_id),
                             ("row", request.row),
@@ -400,39 +420,47 @@ class CMPSystem:
                     obs_metrics.counter(f"dram.row_{outcome}").inc()
                     obs_metrics.histogram(
                         "dram.latency_ns", LATENCY_BUCKETS_NS
-                    ).observe(completion - request.arrival_ns)
-                metrics.record(
-                    request.core,
-                    bool(request.row_hit),
-                    completion - request.arrival_ns,
-                )
+                    ).observe(latency)
+                record(core, bool(request.row_hit), latency)
                 if request.is_write:
                     # Posted write: the core already moved on; account
                     # the completion here without a core event.
-                    wstate = states[request.core]
-                    wstate.completed += 1
-                    if wstate.finished and wstate.finish_ns is None:
-                        wstate.finish_ns = now
+                    state = states[core]
+                    state.completed += 1
+                    if (
+                        state.finish_ns is None
+                        and state.completed >= state.config.total_requests
+                    ):
+                        state.finish_ns = now
                         if all(states[i].finished for i in must_finish):
                             break
                 else:
-                    push(completion, _COMPLETE, request.core)
-                wake_channel(ch, now)
-                while len(buffer_waiters) and buffer_used < buffer_cap:
-                    waiter = buffer_waiters.pop()
-                    if waiter.blocked:
-                        push_gen(now, waiter.index)
+                    heappush(events, (completion, seq(), _COMPLETE, core))
+                if queue:
+                    serve_scheduled[ch] = True
+                    heappush(
+                        events,
+                        (max(now, channel.bus_free_at), seq(), _SERVE, ch),
+                    )
+                while buffer_used < buffer_cap and len(buffer_waiters):
+                    waiter = pop_waiter()
+                    if waiter.blocked and not waiter.gen_pending:
+                        waiter.gen_pending = True
+                        heappush(events, (now, seq(), _GEN, waiter.index))
             else:  # _COMPLETE
                 state = states[payload]
                 state.inflight -= 1
                 state.completed += 1
-                if state.finished and state.finish_ns is None:
+                total = state.config.total_requests
+                if state.finish_ns is None and state.completed >= total:
                     state.finish_ns = now
                     if all(states[i].finished for i in must_finish):
                         break
-                if state.blocked and not state.done_issuing:
+                if state.blocked and state.issued < total:
                     state.blocked = False
-                    push_gen(now, state.index)
+                    if not state.gen_pending:
+                        state.gen_pending = True
+                        heappush(events, (now, seq(), _GEN, payload))
 
         elapsed = now
         if run_span is not None:

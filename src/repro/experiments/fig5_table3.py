@@ -17,12 +17,12 @@ fairness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.analysis.series import Series, render_series
 from repro.analysis.tables import TextTable, fmt, fmt_pct
-from repro.dram.system import CMPSystem
-from repro.errors import UnknownKeyError
+from repro.dram.system import CMPSystem, SimResult
+from repro.errors import SimulationError, UnknownKeyError
 
 POLICIES: Tuple[str, ...] = ("fcfs", "frfcfs", "atlas", "tcm", "sms")
 _GROUP_CORES = 8
@@ -87,6 +87,30 @@ class Fig5Table3Result:
         return "\n\n".join(blocks)
 
 
+def _require_finished(
+    result: SimResult,
+    cores: Iterable[int],
+    policy: str,
+    victim: float,
+    pressure: Optional[float],
+) -> None:
+    """Refuse a run the ``max_ns`` guard cut short.
+
+    A truncated run's ``elapsed_ns`` is the guard, not a finish time,
+    so a relative speed computed from it would be silently wrong.
+    """
+    unfinished = [i for i in cores if result.cores[i].finish_ns is None]
+    if unfinished:
+        where = (
+            "alone run" if pressure is None else f"pressure {pressure:g} GB/s"
+        )
+        raise SimulationError(
+            f"fig5 {policy}: victim {victim:g} GB/s, {where}: cores "
+            f"{unfinished} unfinished at {result.elapsed_ns:g} ns "
+            "(max_ns guard)"
+        )
+
+
 def run_fig5_table3(
     victim_demands: Sequence[float] = (18.0, 36.0, 54.0, 72.0, 90.0),
     pressure_levels: Sequence[float] = (6.0, 18.0, 30.0, 42.0, 54.0, 66.0, 78.0, 90.0),
@@ -107,6 +131,7 @@ def run_fig5_table3(
         Requests per victim core; background cores get proportional work.
     """
     peak = CMPSystem().timing.peak_bw_gbps
+    victims = range(_GROUP_CORES, 2 * _GROUP_CORES)
     curves = []
     stats = []
     for policy in policies:
@@ -119,6 +144,7 @@ def run_fig5_table3(
                     victim, _GROUP_CORES, requests, index_offset=_GROUP_CORES
                 )
             )
+            _require_finished(alone, range(_GROUP_CORES), policy, victim, None)
             ys = []
             for pressure in pressure_levels:
                 bg_requests = max(
@@ -129,12 +155,8 @@ def run_fig5_table3(
                 ) + system.group_configs(
                     victim, _GROUP_CORES, requests, index_offset=_GROUP_CORES
                 )
-                result = system.run(
-                    cores,
-                    stop_cores=set(
-                        range(_GROUP_CORES, 2 * _GROUP_CORES)
-                    ),
-                )
+                result = system.run(cores, stop_cores=set(victims))
+                _require_finished(result, victims, policy, victim, pressure)
                 ys.append(
                     min(alone.elapsed_ns / result.elapsed_ns, 1.0)
                 )

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dram.system import CMPSystem
+from repro.errors import SimulationError
 from repro.experiments.fig5_table3 import run_fig5_table3
 
 
@@ -54,3 +56,39 @@ class TestQualitative:
         for policy in ("fcfs", "atlas"):
             light, heavy = result.policy_series(policy)
             assert heavy.y[-1] <= light.y[-1] + 0.1
+
+
+class TestTruncatedRunsRejected:
+    """A run the ``max_ns`` guard cut short must not become a Fig 5
+    point: its elapsed time is the guard, not a finish time."""
+
+    @staticmethod
+    def _guard(monkeypatch, guard_ns, co_runs_only):
+        run = CMPSystem.run
+
+        def guarded(self, cores, stop_cores=None, max_ns=1e9):
+            if co_runs_only and stop_cores is None:
+                return run(self, cores, stop_cores, max_ns)
+            return run(self, cores, stop_cores, max_ns=guard_ns)
+
+        monkeypatch.setattr(CMPSystem, "run", guarded)
+
+    def _run(self):
+        return run_fig5_table3(
+            victim_demands=(36.0,),
+            pressure_levels=(48.0,),
+            requests=100,
+            policies=("frfcfs",),
+        )
+
+    def test_unfinished_alone_run(self, monkeypatch):
+        self._guard(monkeypatch, 500.0, co_runs_only=False)
+        with pytest.raises(SimulationError, match="frfcfs.*36.*alone run"):
+            self._run()
+
+    def test_unfinished_victim(self, monkeypatch):
+        self._guard(monkeypatch, 500.0, co_runs_only=True)
+        with pytest.raises(
+            SimulationError, match="frfcfs.*victim 36.*pressure 48"
+        ):
+            self._run()

@@ -1,10 +1,12 @@
 """The zero-perturbation contract: tracing must not change results.
 
-Runs one SoC co-run and one DRAM simulation twice — untraced, then
-under a full trace+metrics session — and requires the result payloads
-to be identical down to canonical-JSON bytes. The traced runs must
-also actually record something, so a silently-unhooked tracer cannot
-pass as "no perturbation".
+Runs one SoC co-run and a set of DRAM simulations twice — untraced,
+then under a full trace+metrics session — and requires the result
+payloads to be identical down to canonical-JSON bytes. The DRAM cases
+cover every scheduling policy and a trace-replay mix with posted
+writes, all above peak and across a refresh, so every emission point
+of the event loop fires. The traced runs must also actually record something,
+so a silently-unhooked tracer cannot pass as "no perturbation".
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ from __future__ import annotations
 import dataclasses
 import json
 
+from repro.dram.bank import ChannelState
+from repro.dram.cores import staggered_base
+from repro.dram.schedulers import available_policies
 from repro.dram.system import CMPSystem
+from repro.dram.timing import DDR4_3200
+from repro.dram.trace import streaming_trace, trace_core_config
 from repro.obs import runtime as obs_runtime
 from repro.soc.configs import soc_by_name
 from repro.soc.engine import CoRunEngine
@@ -35,11 +42,36 @@ def _soc_run():
     )
 
 
-def _dram_run():
-    system = CMPSystem(policy="sms", seed=1)
-    cores = system.group_configs(
-        group_demand_gbps=24.0, n_cores=2, requests_per_core=300
-    )
+DRAM_CASES = tuple(available_policies()) + ("trace",)
+
+# One DDR4-3200 channel (25.6 GB/s peak) under 40 GB/s of demand: every
+# run crosses a refresh, so the refresh emission point fires too.
+ONE_CHANNEL = dataclasses.replace(DDR4_3200, channels=1)
+
+
+def _dram_run(case="sms"):
+    """One DRAM run above peak: a policy on four synthetic cores, or
+    ``"trace"`` — FR-FCFS replaying streams with 25% and 50% posted
+    writes."""
+    if case == "trace":
+        system = CMPSystem(timing=ONE_CHANNEL, policy="frfcfs", seed=1)
+        cores = [
+            dataclasses.replace(
+                trace_core_config(
+                    streaming_trace(
+                        f"obs{i}", 800, 1.0, base=staggered_base(i),
+                        write_fraction=0.25 if i % 2 else 0.5,
+                    )
+                ),
+                demand_gbps=10.0,
+            )
+            for i in range(4)
+        ]
+    else:
+        system = CMPSystem(timing=ONE_CHANNEL, policy=case, seed=1)
+        cores = system.group_configs(
+            group_demand_gbps=40.0, n_cores=4, requests_per_core=800
+        )
     return system.run(cores)
 
 
@@ -51,19 +83,45 @@ class TestBitIdentity:
             assert len(sess.tracer.buffer) > 0, "SoC hooks did not fire"
         assert traced == untraced
 
-    def test_dram_run_identical_when_traced(self):
-        untraced = _canonical(_dram_run())
-        with obs_runtime.session(trace=True, metrics=True) as sess:
-            traced = _canonical(_dram_run())
-            assert len(sess.tracer.buffer) > 0, "DRAM hooks did not fire"
-        assert traced == untraced
+    def test_dram_cases_run_above_peak(self):
+        for case in DRAM_CASES:
+            result = _dram_run(case)
+            demand = sum(core.demand_gbps for core in result.cores)
+            assert demand > ONE_CHANNEL.peak_bw_gbps, case
 
-    def test_metrics_only_session_is_also_invisible(self):
-        untraced = _canonical(_dram_run())
-        with obs_runtime.session(trace=False, metrics=True) as sess:
-            observed = _canonical(_dram_run())
-            assert sess.metrics.snapshot().counter_value("dram.requests") > 0
-        assert observed == untraced
+    def test_dram_run_identical_when_traced(self):
+        for case in DRAM_CASES:
+            untraced = _canonical(_dram_run(case))
+            with obs_runtime.session(trace=True, metrics=True) as sess:
+                traced = _canonical(_dram_run(case))
+                assert len(sess.tracer.buffer) > 0, f"{case}: no DRAM hooks"
+            assert traced == untraced, case
+
+    def test_metrics_only_session_is_also_invisible(self, monkeypatch):
+        dispatched = []
+        dispatch = ChannelState.dispatch
+
+        def counting_dispatch(self, request, now):
+            dispatched.append(request.req_id)
+            return dispatch(self, request, now)
+
+        for case in DRAM_CASES:
+            untraced = _canonical(_dram_run(case))
+            dispatched.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ChannelState, "dispatch", counting_dispatch)
+                with obs_runtime.session(trace=False, metrics=True) as sess:
+                    observed = _canonical(_dram_run(case))
+                    snapshot = sess.metrics.snapshot()
+            assert observed == untraced, case
+            requests = snapshot.counter_value("dram.requests")
+            assert requests == len(dispatched) > 0, case
+            outcomes = sum(
+                snapshot.counter_value(f"dram.row_{outcome}")
+                for outcome in ("hit", "miss", "conflict")
+            )
+            assert outcomes == requests, case
+            assert snapshot.counter_value("dram.refreshes") > 0, case
 
 
 class TestTracedContentShape:
