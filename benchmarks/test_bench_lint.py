@@ -1,6 +1,6 @@
 """Lint benchmark: full-tree wall time, cached and uncached, per rule.
 
-Times an all-18-rule lint of the installed ``repro`` package three
+Times a full-registry lint of the installed ``repro`` package three
 ways — cold (no cache), cache-priming, and cache-warm — plus a per-rule
 wall-time breakdown from the engine's ``--profile`` plumbing. Asserts
 the tree is clean, that the warm cached run beats the cold run, and

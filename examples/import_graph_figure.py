@@ -1,6 +1,6 @@
 """Figure source: the repo's own import graph, layer by layer.
 
-Reproduces the architecture figure from ``DESIGN.md`` §2.14 directly
+Reproduces the architecture figure from ``DESIGN.md`` §2.13 directly
 from the code: builds the module import graph over the installed
 ``repro`` package, checks it against the declared ``architecture.toml``
 layer contract, and emits the Graphviz DOT source for the

@@ -353,35 +353,6 @@ def _cmd_lint(args) -> int:
             for part in chunk.split(",")
             if part.strip()
         ]
-    if args.write_api_surface:
-        from repro.lint.apisurface import extract_surface, render_surface
-
-        try:
-            sources = [
-                (str(f), f.read_text(encoding="utf-8"))
-                for f in iter_python_files(paths)
-            ]
-        except OSError as exc:
-            print(f"pccs lint: error: {exc}", file=sys.stderr)
-            return 2
-        surface = extract_surface(sources)
-        target = Path(args.write_api_surface)
-        try:
-            target.write_text(render_surface(surface), encoding="utf-8")
-        except OSError as exc:
-            print(
-                f"pccs lint: error: cannot write {target}: {exc} "
-                "(note: --write-api-surface takes an optional FILE — "
-                "put lint paths before the flag)",
-                file=sys.stderr,
-            )
-            return 2
-        recorded = len(surface["modules"])
-        print(
-            f"api-surface: recorded {recorded} module(s) "
-            f"to {args.write_api_surface}"
-        )
-        return 0
     cache = LintCache(Path(CACHE_DIR_NAME)) if args.cache else None
     profile = {} if args.profile else None
     try:
@@ -854,19 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-baseline",
         metavar="FILE",
         help="record current findings as the accepted baseline and exit",
-    )
-    p.add_argument(
-        "--write-api-surface",
-        nargs="?",
-        const="api-surface.json",
-        default=None,
-        metavar="FILE",
-        dest="write_api_surface",
-        help=(
-            "record the public API surface (module/function/method "
-            "signatures) for the LINT020 ratchet and exit "
-            "(default FILE: api-surface.json)"
-        ),
     )
     p.add_argument(
         "--profile",

@@ -1,4 +1,4 @@
-"""The per-run architecture context behind LINT017/018/020.
+"""The per-run architecture context behind LINT017/018.
 
 Built once per :func:`repro.lint.engine.lint_files` run whenever a
 module-graph rule is selected, and handed to every checker through
@@ -11,15 +11,13 @@ module-graph rule is selected, and handed to every checker through
   layering and dead-code rules stay silent, so fixture trees and
   third-party checkouts produce no noise until they *declare* an
   architecture;
-- the nearest ``api-surface.json`` recording (absent means LINT020 is
-  silent until a surface is first recorded);
 - the dead-code index, including references harvested from the
   contract's external root trees (``tests/`` etc.).
 
-``fingerprint`` folds all of that — sources, contract bytes, recorded
-surface bytes, and every scanned external file — into the per-file
-result cache key, so editing a test that was the last reference to a
-helper correctly invalidates the helper's cached findings.
+``fingerprint`` folds all of that — sources, contract bytes, and every
+scanned external file — into the per-file result cache key, so editing
+a test that was the last reference to a helper correctly invalidates
+the helper's cached findings.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.apisurface import find_surface, load_surface
 from repro.lint.deadcode import DeadCodeIndex, build_deadcode_index
 from repro.lint.importgraph import (
     ImportGraph,
@@ -50,8 +47,6 @@ class ArchContext:
     graph: ImportGraph
     contract: Optional[LayerContract]
     contract_path: Optional[Path]
-    surface: Optional[Dict[str, object]]
-    surface_path: Optional[Path]
     deadcode: Optional[DeadCodeIndex]
     fingerprint: str
     _module_by_path: Optional[Dict[str, str]] = None
@@ -109,15 +104,10 @@ def build_arch_context(
 
     contract: Optional[LayerContract] = None
     contract_path: Optional[Path] = None
-    surface: Optional[Dict[str, object]] = None
-    surface_path: Optional[Path] = None
     if start is not None:
         contract_path = find_contract(start)
         if contract_path is not None:
             contract = load_contract(contract_path)
-        surface_path = find_surface(start)
-        if surface_path is not None:
-            surface = load_surface(surface_path)
 
     deadcode: Optional[DeadCodeIndex] = None
     if contract is not None:
@@ -125,11 +115,10 @@ def build_arch_context(
 
     digest = hashlib.sha256()
     digest.update(graph_fingerprint(sources).encode("utf-8"))
-    for declaration in (contract_path, surface_path):
-        if declaration is None:
-            digest.update(b"none")
-        else:
-            digest.update(declaration.read_bytes())
+    if contract_path is None:
+        digest.update(b"none")
+    else:
+        digest.update(contract_path.read_bytes())
     if deadcode is not None:
         for path, sha in sorted(deadcode.external_files):
             digest.update(path.encode("utf-8"))
@@ -139,8 +128,6 @@ def build_arch_context(
         graph=graph,
         contract=contract,
         contract_path=contract_path,
-        surface=surface,
-        surface_path=surface_path,
         deadcode=deadcode,
         fingerprint=digest.hexdigest(),
     )

@@ -1,7 +1,7 @@
 """Shared lint datatypes: findings, file context, rule records.
 
-Kept in a leaf module so the analyzer families (``rules``,
-``unitcheck``) and the engine can all import them without cycles.
+Kept in a leaf module so the rule checkers, the analyzers behind them
+and the engine can all import them without cycles.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ class FileContext:
     """Module-graph context (:mod:`repro.lint.arch`).
 
     Populated by the engine whenever a module-graph rule is selected:
-    the import graph over the linted sources plus whatever declarations
-    (``architecture.toml``, ``api-surface.json``) were discovered above
-    them. Module-graph checkers return no findings without it.
+    the import graph over the linted sources plus the
+    ``architecture.toml`` contract, if one was discovered above them.
+    Module-graph checkers return no findings without it.
     """
 
 

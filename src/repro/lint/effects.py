@@ -1213,7 +1213,7 @@ class Program:
         if kind == "dyn":
             # Closed-world dynamic dispatch: ``x.run()`` on an unknown
             # receiver reaches every ``*Job`` class's method of that
-            # name — the convention LINT006/LINT012 already rely on.
+            # name — the convention LINT006 already relies on.
             out: List[str] = []
             for mod_name, info in sorted(self.modules.items()):
                 for cls_name, cls in sorted(info.classes.items()):

@@ -60,13 +60,6 @@ class ImportGraph:
 
     edges: List[ImportEdge] = field(default_factory=list)
 
-    def module_for_path(self, path: str) -> Optional[str]:
-        norm = Path(path).as_posix()
-        for name, module_path in self.modules.items():
-            if Path(module_path).as_posix() == norm:
-                return name
-        return None
-
     def edges_from(self, module: str) -> List[ImportEdge]:
         return [edge for edge in self.edges if edge.src == module]
 

@@ -23,16 +23,8 @@ from typing import (
 )
 
 from repro.errors import LintError
-from repro.lint.apisurface import compare_module
 from repro.lint.arch import ArchContext
 from repro.lint.base import Checker, FileContext, Finding, Rule
-from repro.lint.callgraph import (
-    FunctionInfo,
-    ModuleCallGraph,
-    module_unpicklable_globals,
-)
-from repro.lint.cfg import build_cfg
-from repro.lint.dataflow import State, TaintAnalysis, dotted_name
 from repro.lint.effects import (
     INERT_DECLARATION,
     PROCESS_LOCAL_DECLARATION,
@@ -40,7 +32,6 @@ from repro.lint.effects import (
     Program,
     collect_imports as effects_collect_imports,
 )
-from repro.lint.unitcheck import check_units
 
 
 # ----------------------------------------------------------------------
@@ -632,331 +623,6 @@ def _check_bare_raises(tree: ast.Module, ctx: FileContext) -> List[Finding]:
                     ),
                 )
             )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# LINT011 — determinism taint: clock/RNG-derived values reaching state
-# ----------------------------------------------------------------------
-_TAINT_SCOPE_DIRS: Tuple[str, ...] = (
-    "repro/soc/",
-    "repro/dram/",
-    "repro/experiments/",
-)
-_SEEDABLE_CONSTRUCTORS = frozenset({"Random", "default_rng", "RandomState"})
-_UUID_NONDET = frozenset({"uuid1", "uuid4"})
-_SERIALIZE_FUNCS = frozenset({"dump", "dumps"})
-_SERIALIZE_MODULES = frozenset({"json", "pickle", "marshal"})
-
-
-def _in_taint_scope(ctx: FileContext) -> bool:
-    return any(fragment in ctx.norm_path for fragment in _TAINT_SCOPE_DIRS)
-
-
-class _TaintSources:
-    """Classify expressions that *generate* nondeterministic values."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        aliases = _module_aliases(tree)
-        self._time = aliases["time"]
-        self._datetime = aliases["datetime"]
-        self._random = aliases["random"]
-        self._numpy = aliases["numpy"]
-        self._numpy_random = aliases["numpy.random"]
-        self._extra: Dict[str, Set[str]] = {
-            "os": set(),
-            "uuid": set(),
-            "secrets": set(),
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for name in node.names:
-                    if name.name in self._extra:
-                        self._extra[name.name].add(name.asname or name.name)
-        self._bare_time = {
-            local
-            for local, original in _from_imports(tree, "time").items()
-            if original in _TIME_WALLCLOCK_ATTRS
-        }
-        self._bare_random = {
-            local
-            for local, original in _from_imports(tree, "random").items()
-            if original not in _RANDOM_SAFE_ATTRS
-        }
-        self._bare_ctors = {
-            local
-            for local, original in _from_imports(tree, "random").items()
-            if original == "Random"
-        } | {
-            local
-            for local, original in _from_imports(
-                tree, "numpy.random"
-            ).items()
-            if original in _SEEDABLE_CONSTRUCTORS
-        }
-        self._bare_urandom = {
-            local
-            for local, original in _from_imports(tree, "os").items()
-            if original == "urandom"
-        }
-        self._bare_uuid = {
-            local
-            for local, original in _from_imports(tree, "uuid").items()
-            if original in _UUID_NONDET
-        }
-        self._datetime_classes = {
-            local
-            for local, original in _from_imports(tree, "datetime").items()
-            if original in ("datetime", "date")
-        }
-
-    def label(self, expr: ast.expr) -> Optional[str]:
-        """Taint label for a source call, else ``None``."""
-        if not isinstance(expr, ast.Call):
-            return None
-        func = expr.func
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in self._bare_time:
-                return f"{name}()@{expr.lineno}"
-            if name in self._bare_random:
-                return f"random.{name}()@{expr.lineno}"
-            if name in self._bare_urandom:
-                return f"os.urandom()@{expr.lineno}"
-            if name in self._bare_uuid:
-                return f"uuid.{name}()@{expr.lineno}"
-            if (
-                name in self._bare_ctors
-                and not expr.args
-                and not expr.keywords
-            ):
-                return f"unseeded {name}()@{expr.lineno}"
-            return None
-        if not isinstance(func, ast.Attribute):
-            return None
-        owner = func.value
-        if isinstance(owner, ast.Name):
-            if owner.id in self._time and func.attr in _TIME_WALLCLOCK_ATTRS:
-                return f"time.{func.attr}()@{expr.lineno}"
-            if (
-                owner.id in self._datetime_classes
-                and func.attr in _DATETIME_NOW_ATTRS
-            ):
-                return f"{owner.id}.{func.attr}()@{expr.lineno}"
-            if owner.id in self._random:
-                if func.attr not in _RANDOM_SAFE_ATTRS:
-                    return f"random.{func.attr}()@{expr.lineno}"
-                if (
-                    func.attr == "Random"
-                    and not expr.args
-                    and not expr.keywords
-                ):
-                    return f"unseeded random.Random()@{expr.lineno}"
-            if owner.id in self._numpy_random:
-                if func.attr not in _NUMPY_RANDOM_SAFE_ATTRS:
-                    return f"numpy.random.{func.attr}()@{expr.lineno}"
-                if (
-                    func.attr in _SEEDABLE_CONSTRUCTORS
-                    and not expr.args
-                    and not expr.keywords
-                ):
-                    return (
-                        f"unseeded numpy.random.{func.attr}()@{expr.lineno}"
-                    )
-            if owner.id in self._extra["os"] and func.attr == "urandom":
-                return f"os.urandom()@{expr.lineno}"
-            if owner.id in self._extra["uuid"] and func.attr in _UUID_NONDET:
-                return f"uuid.{func.attr}()@{expr.lineno}"
-            if owner.id in self._extra["secrets"]:
-                return f"secrets.{func.attr}()@{expr.lineno}"
-        elif (
-            isinstance(owner, ast.Attribute)
-            and isinstance(owner.value, ast.Name)
-            and owner.value.id in self._datetime
-            and owner.attr in ("datetime", "date")
-            and func.attr in _DATETIME_NOW_ATTRS
-        ):
-            return f"datetime.{owner.attr}.{func.attr}()@{expr.lineno}"
-        return None
-
-
-def _is_serializing_call(node: ast.Call) -> bool:
-    func = node.func
-    if not isinstance(func, ast.Attribute):
-        return False
-    if func.attr == "write":
-        return True
-    owner = dotted_name(func.value)
-    return owner in _SERIALIZE_MODULES and func.attr in _SERIALIZE_FUNCS
-
-
-def _check_determinism_taint(
-    tree: ast.Module, ctx: FileContext
-) -> List[Finding]:
-    if not _in_taint_scope(ctx):
-        return []
-    sources = _TaintSources(tree)
-    analysis = TaintAnalysis(sources.label)
-    findings: List[Finding] = []
-    seen: Set[Tuple[int, str]] = set()
-
-    def flag(node: ast.AST, taint: FrozenSet[str], sink: str) -> None:
-        origin = ", ".join(sorted(taint))
-        message = (
-            f"nondeterministic value (from {origin}) {sink}; model "
-            "outputs must be functions of the configuration and seed "
-            "only"
-        )
-        line = getattr(node, "lineno", 1)
-        if (line, message) in seen:
-            return
-        seen.add((line, message))
-        findings.append(
-            Finding(
-                file=ctx.path,
-                line=line,
-                col=getattr(node, "col_offset", 0),
-                rule="LINT011",
-                message=message,
-            )
-        )
-
-    def check_body(body: Sequence[ast.stmt]) -> None:
-        cfg = build_cfg(body)
-        for element, state in analysis.walk(cfg):
-            if not isinstance(element, ast.AST):
-                continue
-            _check_element(element, state)
-
-    def _check_element(element: ast.AST, state: State) -> None:
-        if isinstance(element, ast.Assign):
-            taint = analysis.expr_taint(element.value, state)
-            if taint:
-                for target in element.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Attribute):
-                            flag(element, taint, "stored into model state")
-                            return
-        elif isinstance(element, ast.AugAssign):
-            taint = analysis.expr_taint(element.value, state)
-            if taint and isinstance(element.target, ast.Attribute):
-                flag(element, taint, "stored into model state")
-        elif isinstance(element, ast.Return) and element.value is not None:
-            taint = analysis.expr_taint(element.value, state)
-            if taint:
-                flag(element, taint, "returned to callers")
-        for node in ast.walk(element):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                value = node.value
-                if value is not None:
-                    taint = analysis.expr_taint(value, state)
-                    if taint:
-                        flag(node, taint, "yielded to callers")
-            elif isinstance(node, ast.Call) and _is_serializing_call(node):
-                taint: FrozenSet[str] = frozenset()
-                for arg in node.args:
-                    taint |= analysis.expr_taint(arg, state)
-                for kw in node.keywords:
-                    taint |= analysis.expr_taint(kw.value, state)
-                if taint:
-                    flag(node, taint, "written to serialized output")
-
-    check_body(tree.body)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            check_body(node.body)
-    return findings
-
-
-# ----------------------------------------------------------------------
-# LINT012 — transitive picklability of perf-job classes
-# ----------------------------------------------------------------------
-def _check_transitive_picklability(
-    tree: ast.Module, ctx: FileContext
-) -> List[Finding]:
-    job_classes = _job_scope_classes(tree, ctx)
-    if not job_classes:
-        return []
-    graph = ModuleCallGraph(tree)
-    flagged = graph.unpicklable_returns()
-    bad_globals = module_unpicklable_globals(tree)
-    findings: List[Finding] = []
-
-    def flag(node: ast.AST, cls: str, why: str) -> None:
-        findings.append(
-            Finding(
-                file=ctx.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                rule="LINT012",
-                message=(
-                    f"job class {cls} ships {why} across the "
-                    "parallel_map process boundary; jobs must be "
-                    "picklable end to end"
-                ),
-            )
-        )
-
-    def value_reason(
-        value: ast.expr, info: Optional[FunctionInfo]
-    ) -> Optional[str]:
-        # Direct lambdas/open handles are LINT006's findings; this rule
-        # owns what only the call graph can see.
-        if isinstance(value, ast.Name):
-            if info is not None and value.id in info.nested_defs:
-                return f"nested function {value.id!r} (a closure)"
-            if value.id in bad_globals:
-                why, line = bad_globals[value.id]
-                return (
-                    f"module-level state {value.id!r} "
-                    f"({why}, bound at line {line})"
-                )
-        if isinstance(value, ast.Call):
-            class_name = info.class_name if info is not None else None
-            target = graph.resolve_call(value, class_name)
-            if target is not None and target in flagged:
-                return f"the result of {target}(), {flagged[target]}"
-        return None
-
-    for cls in job_classes:
-        for stmt in cls.body:
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                value = stmt.value
-            if (
-                value is not None
-                and isinstance(value, ast.Name)
-                and value.id in bad_globals
-            ):
-                why, line = bad_globals[value.id]
-                flag(
-                    value,
-                    cls.name,
-                    f"module-level state {value.id!r} ({why}, bound at "
-                    f"line {line})",
-                )
-        for member in cls.body:
-            if not isinstance(
-                member, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            info = graph.functions.get(f"{cls.name}.{member.name}")
-            for inner in ast.walk(member):
-                if not isinstance(inner, ast.Assign):
-                    continue
-                stores_on_self = any(
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    for target in inner.targets
-                )
-                if not stores_on_self:
-                    continue
-                reason = value_reason(inner.value, info)
-                if reason is not None:
-                    flag(inner, cls.name, reason)
     return findings
 
 
@@ -2105,57 +1771,6 @@ def _check_exception_flow(
 
 
 # ----------------------------------------------------------------------
-# LINT020 — public API surface ratchet
-# ----------------------------------------------------------------------
-def _check_api_surface(
-    tree: ast.Module, ctx: FileContext
-) -> List[Finding]:
-    """Public signatures must match the recorded ``api-surface.json``.
-
-    **Why.** The public surface — every public function's and method's
-    parameter names, kinds, kw-only-ness, and defaults — is a contract
-    with downstream users that ordinary tests under-cover (a renamed
-    keyword breaks callers while every positional test still passes).
-    ``pccs lint --write-api-surface`` records the surface into
-    ``api-surface.json``; this rule re-extracts it on every lint and
-    reports any drift — changed signature, removed symbol, or public
-    symbol not yet recorded — until the recording is regenerated. Like
-    the findings baseline, the diff of the recording is where an API
-    change becomes explicit and reviewable; CI gates on regeneration
-    producing no diff.
-
-    **True positive.** Renaming a public function's keyword parameter
-    or deleting its default without regenerating; deleting a public
-    function that is still recorded; adding a new public class and
-    forgetting to record it.
-
-    **True negative.** Any change to ``_private`` helpers, private
-    modules, or function bodies; moving a recorded function within its
-    file (line numbers are not part of the surface); drift that has
-    been regenerated (the recording then matches again).
-
-    **Suppression.** Regenerate with ``pccs lint --write-api-surface``
-    — that *is* the approval step, so a pragma defeats the rule's
-    purpose. Rename the symbol to ``_private`` if it was never meant
-    to be public. Without an ``api-surface.json`` above the linted
-    tree the rule is silent.
-    """
-    arch = ctx.arch
-    if arch is None or arch.surface is None:
-        return []
-    module = arch.graph.module_for_path(ctx.path)
-    if module is None:
-        return []
-    recorded = arch.surface.get("modules")
-    if not isinstance(recorded, dict):
-        return []
-    return [
-        Finding(ctx.path, line, 0, "LINT020", message)
-        for line, message in compare_module(module, tree, recorded)
-    ]
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _RULES: Tuple[Rule, ...] = (
@@ -2193,22 +1808,6 @@ _RULES: Tuple[Rule, ...] = (
         "LINT007",
         "raising bare builtin exceptions instead of repro.errors",
         _check_bare_raises,
-    ),
-    Rule(
-        "LINT010",
-        "unit mixing (GB/s vs bytes vs seconds vs ns ...) via data flow",
-        check_units,
-    ),
-    Rule(
-        "LINT011",
-        "wall-clock/RNG-derived values flowing into model state or output",
-        _check_determinism_taint,
-    ),
-    Rule(
-        "LINT012",
-        "unpicklable values reaching perf jobs via helpers or globals",
-        _check_transitive_picklability,
-        interprocedural=True,
     ),
     Rule(
         "LINT013",
@@ -2251,12 +1850,6 @@ _RULES: Tuple[Rule, ...] = (
         _check_exception_flow,
         interprocedural=True,
     ),
-    Rule(
-        "LINT020",
-        "public signature drift against the recorded api-surface.json",
-        _check_api_surface,
-        module_graph=True,
-    ),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in _RULES}
@@ -2279,8 +1872,8 @@ MODULE_GRAPH_RULE_IDS: Tuple[str, ...] = tuple(
 
 Whole-program for ``--changed-only`` widening, like the
 interprocedural set; per-file cache entries are additionally keyed on
-the arch-context fingerprint (graph + ``architecture.toml`` +
-``api-surface.json`` + external root files).
+the arch-context fingerprint (graph + ``architecture.toml`` + external
+root files).
 """
 
 

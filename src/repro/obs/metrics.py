@@ -94,7 +94,7 @@ class MetricsSnapshot:
 
     Everything is plain tuples of builtins, so snapshots cross process
     boundaries (``parallel_map`` outcomes) without custom reducers and
-    stay LINT012-clean as members of perf job results.
+    stay picklable as members of perf job results.
     """
 
     counters: Tuple[Tuple[str, float], ...] = ()

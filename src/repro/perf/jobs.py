@@ -90,8 +90,8 @@ class ExperimentOutcome:
 
     ``metrics_snapshot`` is a plain-tuple value object
     (:class:`repro.obs.metrics.MetricsSnapshot`), so the outcome stays
-    picklable (LINT012) and the coordinator can fold snapshots from any
-    number of workers with :func:`repro.obs.metrics.merge_snapshots`.
+    picklable and the coordinator can fold snapshots from any number of
+    workers with :func:`repro.obs.metrics.merge_snapshots`.
     ``trace`` (when the job ran with ``trace=True``) is the job's whole
     span/event buffer as a :class:`repro.obs.stitch.WorkerTrace` — the
     coordinator stamps the job index via

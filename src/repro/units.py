@@ -9,88 +9,15 @@ Conventions
   reporting layer renders it as a percentage to match the paper.
 - Frequencies are expressed in **MHz** (the paper quotes PU and memory
   clocks in MHz).
-
-Canonical unit tags
--------------------
-The LINT010 dimensional analyzer (:mod:`repro.lint.unitcheck`) reads the
-machine-readable declarations below. Every quantity flowing through the
-model carries (implicitly, by naming convention, or explicitly, by
-converter signature) one of these tags:
-
-============== ===================================================
-tag            meaning
-============== ===================================================
-``bytes``      a byte count (``*_bytes``, ``CACHELINE_BYTES``)
-``gb``         decimal gigabytes, 1e9 bytes (``*_gb``)
-``gbps``       bandwidth in GB/s (``*_gbps``, ``*_bw``, ``demand``)
-``bytes_per_s``bytes/second — an *unconverted* rate; divide by
-               ``GIGA`` before mixing with ``gbps`` quantities
-``seconds``    wall/simulated time in seconds (``*_seconds``)
-``ns``         time in nanoseconds (``*_ns``, DRAM timing)
-``cycles``     a clock-cycle count (``*_cycles``)
-``mhz``        clock frequency in MHz (``*_mhz``)
-``fraction``   dimensionless ratio in [0, 1] (``*_fraction``,
-               ``*_frac``, ``utilization``, ``overlap``)
-============== ===================================================
-
-Scale constants transform tags: multiplying ``gb`` by :data:`GIGA`
-yields ``bytes``; dividing ``ns`` by :data:`GIGA` yields ``seconds``;
-dividing ``bytes_per_s`` by :data:`GIGA` yields ``gbps``. Same-tag
-division yields ``fraction``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
 
 from repro.errors import UnitsError
 
 GIGA = 1e9
-
-# ----------------------------------------------------------------------
-# Machine-readable unit-tag declarations (consumed by LINT010)
-# ----------------------------------------------------------------------
-UNIT_SUFFIXES: Dict[str, str] = {
-    "_bytes": "bytes",
-    "_gb": "gb",
-    "_gbps": "gbps",
-    "_bw": "gbps",
-    "_bytes_per_s": "bytes_per_s",
-    "_seconds": "seconds",
-    "_secs": "seconds",
-    "_ns": "ns",
-    "_cycles": "cycles",
-    "_mhz": "mhz",
-    "_fraction": "fraction",
-    "_frac": "fraction",
-}
-"""Name-suffix conventions: a variable/parameter/attribute whose name
-ends with a key carries the mapped tag. Matching is case-insensitive
-and skips names containing ``per_`` (``time_per_gb`` is seconds/GB,
-not gigabytes)."""
-
-UNIT_NAMES: Dict[str, str] = {
-    "seconds": "seconds",
-    "demand": "gbps",
-    "bandwidth": "gbps",
-    "utilization": "fraction",
-    "overlap": "fraction",
-    "fraction": "fraction",
-    "cacheline_bytes": "bytes",
-}
-"""Exact (case-insensitive) names that carry a tag without a suffix."""
-
-UNIT_SIGNATURES: Dict[str, Tuple[Tuple[Optional[str], ...], Optional[str]]] = {
-    "bytes_to_gb": (("bytes",), "gb"),
-    "gb_to_bytes": (("gb",), "bytes"),
-    "bandwidth_gbps": (("bytes", "seconds"), "gbps"),
-    "as_percent": (("fraction",), None),
-}
-"""Converter signatures: function name -> (parameter tags, return tag).
-``None`` marks an untagged position. LINT010 flags calls whose argument
-tags conflict with the declared parameter tags (the double-conversion
-trap: ``bytes_to_gb(x_gb)``)."""
 
 REL_TOL = 1e-9
 """Default relative tolerance for float comparisons (:func:`approx_eq`)."""

@@ -43,7 +43,7 @@ class TestRoundTrip:
 class TestFilterNew:
     def test_new_finding_survives(self):
         counts = baseline_counts([_finding(3)])
-        fresh = _finding(7, rule="LINT011")
+        fresh = _finding(7, rule="LINT013")
         assert filter_new([_finding(3), fresh], counts) == [fresh]
 
     def test_extra_occurrences_beyond_allowance_survive(self):

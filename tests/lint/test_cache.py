@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
-from repro.lint.cache import LintCache
+import repro.lint.cache as cache_module
+from repro.lint.cache import LintCache, _analyzer_fingerprint
 from repro.lint.engine import lint_files
 
 _BAD = "def f(x=[]):\n    return x\n"
@@ -71,3 +73,37 @@ class TestCacheBehavior:
         findings = lint_files([second], cache=cache)
         assert cache.misses == 2
         assert findings and findings[0].file == str(second)
+
+
+class TestAnalyzerFingerprint:
+    def _mirror_package(self, tmp_path, monkeypatch):
+        """Copy of ``repro.lint`` plus a sibling ``units.py``."""
+        lint_dir = tmp_path / "repro" / "lint"
+        shutil.copytree(
+            Path(cache_module.__file__).parent,
+            lint_dir,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        monkeypatch.setattr(
+            cache_module, "__file__", str(lint_dir / "cache.py")
+        )
+        return lint_dir
+
+    def test_units_module_is_not_an_analyzer_input(
+        self, tmp_path, monkeypatch
+    ):
+        lint_dir = self._mirror_package(tmp_path, monkeypatch)
+        units = lint_dir.parent / "units.py"
+        units.write_text("GIGA = 1e9\n", encoding="utf-8")
+        before = _analyzer_fingerprint()
+        units.write_text("GIGA = 1e9\nMEGA = 1e6\n", encoding="utf-8")
+        assert _analyzer_fingerprint() == before
+
+    def test_lint_module_edit_changes_fingerprint(
+        self, tmp_path, monkeypatch
+    ):
+        lint_dir = self._mirror_package(tmp_path, monkeypatch)
+        before = _analyzer_fingerprint()
+        with (lint_dir / "rules.py").open("a", encoding="utf-8") as fh:
+            fh.write("\n# edited\n")
+        assert _analyzer_fingerprint() != before

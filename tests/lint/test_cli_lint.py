@@ -12,6 +12,9 @@ from repro.cli import main
 CLEAN = "def f(x):\n    return x + 1\n"
 DIRTY = "def f(out=[]):\n    return out\n"
 
+# Never-registered and deleted rule ids alike must be rejected loudly.
+UNKNOWN_RULE_IDS = ("LINT999", "LINT010", "LINT011", "LINT012", "LINT020")
+
 
 @pytest.fixture()
 def clean_file(tmp_path: Path) -> Path:
@@ -38,8 +41,9 @@ class TestExitCodes:
         assert "LINT005" in out
 
     def test_unknown_rule_exits_two(self, clean_file, capsys):
-        assert main(["lint", "--rules", "LINT999", str(clean_file)]) == 2
-        assert "unknown rule" in capsys.readouterr().err
+        for rule_id in UNKNOWN_RULE_IDS:
+            assert main(["lint", "--rules", rule_id, str(clean_file)]) == 2
+            assert "unknown rule" in capsys.readouterr().err
 
     def test_missing_path_exits_two(self, capsys):
         assert main(["lint", "no/such/path.py"]) == 2
@@ -86,8 +90,10 @@ class TestOutput:
     def test_list_rules_includes_flow_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("LINT010", "LINT011", "LINT012"):
+        for rule_id in ("LINT013", "LINT016", "LINT019"):
             assert rule_id in out
+        for rule_id in UNKNOWN_RULE_IDS:
+            assert rule_id not in out
 
 
 class TestCacheFlag:
@@ -282,8 +288,9 @@ class TestExplainFlag:
         assert "_PROCESS_LOCAL_STATE" in capsys.readouterr().out
 
     def test_explain_unknown_rule_exits_two(self, capsys):
-        assert main(["lint", "--explain", "LINT999"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
+        for rule_id in UNKNOWN_RULE_IDS:
+            assert main(["lint", "--explain", rule_id]) == 2
+            assert "unknown rule" in capsys.readouterr().err
 
 
 class TestModuleGraphWidening:
@@ -325,71 +332,12 @@ class TestProfileFlag:
         assert "pccs lint --profile" not in capsys.readouterr().err
 
 
-class TestWriteApiSurface:
-    def test_round_trip_records_then_lints_clean(self, tmp_path, capsys):
-        src_dir = tmp_path / "src" / "repro" / "soc"
-        src_dir.mkdir(parents=True)
-        (src_dir / "a.py").write_text("def f(x, y=1):\n    return x\n")
-        surface = tmp_path / "api-surface.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    str(tmp_path / "src"),
-                    "--write-api-surface",
-                    str(surface),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "recorded 1 module(s)" in out
-        payload = json.loads(surface.read_text())
-        assert "repro.soc.a" in payload["modules"]
-        # The freshly recorded surface lints clean...
-        assert (
-            main(
-                [
-                    "lint",
-                    "--rules",
-                    "LINT020",
-                    str(tmp_path / "src"),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        # ...and a signature change drifts until regenerated.
-        (src_dir / "a.py").write_text("def f(x):\n    return x\n")
-        assert (
-            main(
-                [
-                    "lint",
-                    "--rules",
-                    "LINT020",
-                    str(tmp_path / "src"),
-                ]
-            )
-            == 1
-        )
-        assert "signature drift" in capsys.readouterr().out
-
-    def test_directory_target_is_usage_error(self, tmp_path, capsys):
-        src_dir = tmp_path / "pkg"
-        src_dir.mkdir()
-        (src_dir / "a.py").write_text("X = 1\n")
-        assert (
-            main(
-                [
-                    "lint",
-                    str(src_dir / "a.py"),
-                    "--write-api-surface",
-                    str(tmp_path),
-                ]
-            )
-            == 2
-        )
-        assert "cannot write" in capsys.readouterr().err
+class TestRemovedFlags:
+    def test_write_api_surface_is_rejected(self, clean_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(clean_file), "--write-api-surface"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGraphCommand:

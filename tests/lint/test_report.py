@@ -61,51 +61,45 @@ class TestJsonReport:
         assert a == b
 
 
-FLOW_VIOLATIONS = """\
+MULTI_RULE_VIOLATIONS = """\
 import time
 
 
-def make_key():
-    return lambda r: r.name
-
-
 class SweepJob:
-    def __init__(self):
-        self.key = make_key()
-
-
-class Engine:
-    def start(self, traffic_bytes, elapsed_seconds):
+    def run(self):
         self.t0 = time.time()
-        return traffic_bytes + elapsed_seconds
+        print("started")
+        return self.t0
 """
+
+MULTI_RULE_IDS = ["LINT003", "LINT013", "LINT016"]
 
 
 class TestFlowRuleReporting:
-    """The JSON schema carries the flow-aware rule ids unchanged."""
+    """Per-node and interprocedural findings share one payload schema."""
 
     def test_golden_payload_with_flow_rules(self):
         findings = lint_source(
-            FLOW_VIOLATIONS,
+            MULTI_RULE_VIOLATIONS,
             path="src/repro/soc/fake.py",
-            rule_ids=["LINT010", "LINT011", "LINT012"],
+            rule_ids=MULTI_RULE_IDS,
         )
         payload = json.loads(render_json(findings))
         rules = {entry["rule"] for entry in payload["findings"]}
-        assert rules == {"LINT010", "LINT011", "LINT012"}
+        assert rules == set(MULTI_RULE_IDS)
         assert payload["version"] == JSON_SCHEMA_VERSION
         assert payload["count"] == len(findings)
 
     def test_flow_rule_messages_render_in_text(self):
         findings = lint_source(
-            FLOW_VIOLATIONS,
+            MULTI_RULE_VIOLATIONS,
             path="src/repro/soc/fake.py",
-            rule_ids=["LINT010", "LINT011", "LINT012"],
+            rule_ids=MULTI_RULE_IDS,
         )
         text = render_text(findings)
-        assert "stored into model state" in text
-        assert "parallel_map process boundary" in text
-        assert "unit mismatch" in text
+        assert "wall-clock read time.time()" in text
+        assert "print() in model code" in text
+        assert "executes on a pickled copy" in text
 
 
 class TestSarifReport:

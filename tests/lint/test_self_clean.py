@@ -24,22 +24,16 @@ class TestSelfClean:
 
     def test_every_rule_ran(self):
         # Guard against the clean result coming from an empty registry.
-        assert len(ALL_RULE_IDS) == 18
+        assert len(ALL_RULE_IDS) == 14
         assert ALL_RULE_IDS == tuple(
             f"LINT00{i}" for i in range(1, 8)
-        ) + ("LINT010", "LINT011", "LINT012", "LINT013", "LINT014",
-             "LINT015", "LINT016", "LINT017", "LINT018", "LINT019",
-             "LINT020")
+        ) + tuple(f"LINT0{i}" for i in range(13, 20))
 
     def test_flow_rules_run_in_default_set(self):
-        # The flow-aware, interprocedural, and module-graph rules
-        # individually report
-        # the tree clean too; run them alone so a registry wiring bug
-        # cannot hide them.
+        # LINT013 and the interprocedural and module-graph rules
+        # individually report the tree clean too; run them alone so a
+        # registry wiring bug cannot hide them.
         for rule_id in (
-            "LINT010",
-            "LINT011",
-            "LINT012",
             "LINT013",
             "LINT014",
             "LINT015",
@@ -47,7 +41,6 @@ class TestSelfClean:
             "LINT017",
             "LINT018",
             "LINT019",
-            "LINT020",
         ):
             findings = lint_paths(
                 [str(PACKAGE_ROOT)], rule_ids=[rule_id]
