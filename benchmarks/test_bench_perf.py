@@ -1,13 +1,13 @@
 """Perf smoke benchmark: the fast-path stack before/after wall-clock.
 
 Times the optimisation layers on one full fig8 sweep and a contended
-DRAM run: the PR 1 stack (resolve cache + per-call executor), the PR 5
-persistent warm pool, and the PR 5 content-addressed ``--sim-cache``
-(cold store pass, then warm re-run). Asserts every layer is
-bit-identical to the seed serial path, that the stack is still >= 2x
-the seed, and that the warm ``--sim-cache`` re-run is >= 5x the PR 1
-cached path. Records the numbers in ``benchmarks/results/perf.txt``
-and machine-readable ``perf.json``.
+DRAM run: the resolve cache on the ``parallel_map`` process pool
+(``jobs=N``), and the content-addressed ``--sim-cache`` (cold store
+pass, then warm re-run). Asserts every layer is bit-identical to the
+seed serial path, that the stack is still >= 2x the seed, and that the
+warm ``--sim-cache`` re-run is >= 5x the uncached pooled path. Records
+the numbers, with the machine's CPU count, in
+``benchmarks/results/perf.txt`` and machine-readable ``perf.json``.
 
 Kept out of tier-1 (``testpaths = tests``); run explicitly with
 ``pytest benchmarks/test_bench_perf.py``.
@@ -21,7 +21,7 @@ from repro.dram.system import CMPSystem
 from repro.dram.timing import DDR4_3200
 from repro.experiments import common
 from repro.experiments.fig8_11 import run_validation
-from repro.perf import activate_sim_cache, set_sim_cache, shutdown_pool
+from repro.perf import activate_sim_cache, set_sim_cache
 from repro.soc.configs import soc_by_name
 from repro.soc.engine import CoRunEngine
 
@@ -66,14 +66,10 @@ def test_bench_perf_fast_path(save_report, tmp_path):
     # 1. Seed serial path: no resolve cache, no parallelism.
     seed_result, seed_s = _run_fig8(_STEPS, jobs=1, cached=False)
 
-    # 2. PR 1 path: resolve cache, executor spawned cold for the call.
-    shutdown_pool()
-    pr1_result, pr1_s = _run_fig8(_STEPS, jobs=_JOBS, cached=True)
+    # 2. Resolve cache on the process pool (one pool per call).
+    pool_result, pool_s = _run_fig8(_STEPS, jobs=_JOBS, cached=True)
 
-    # 3. PR 5 warm pool: same call against already-spawned workers.
-    warm_result, warm_pool_s = _run_fig8(_STEPS, jobs=_JOBS, cached=True)
-
-    # 4. PR 5 --sim-cache: cold run pays the stores, warm run skips the
+    # 3. --sim-cache: cold run pays the stores, warm run skips the
     # simulations entirely.
     previous_cache = set_sim_cache(None)
     try:
@@ -86,13 +82,11 @@ def test_bench_perf_fast_path(save_report, tmp_path):
         )
     finally:
         set_sim_cache(previous_cache)
-    shutdown_pool()
 
-    for result in (pr1_result, warm_result, cache_cold_result,
-                   cache_warm_result):
+    for result in (pool_result, cache_cold_result, cache_warm_result):
         assert result == seed_result  # every layer is bit-identical
 
-    # 5. DRAM inner loop: indexed ChannelQueue vs the seed's list queue.
+    # 4. DRAM inner loop: indexed ChannelQueue vs the seed's list queue.
     t0 = time.perf_counter()
     dram_slow = CMPSystem(policy="frfcfs", queue_factory=list).run(
         _dram_cores()
@@ -103,21 +97,21 @@ def test_bench_perf_fast_path(save_report, tmp_path):
     dram_fast_s = time.perf_counter() - t0
     assert dram_fast == dram_slow
 
-    stack_speedup = seed_s / warm_pool_s
-    cache_speedup = pr1_s / cache_warm_s
+    stack_speedup = seed_s / pool_s
+    cache_speedup = pool_s / cache_warm_s
+    cpus = os.cpu_count() or 1
     lines = [
         "perf smoke benchmark — fast-path stack (bit-identical results)",
-        f"workload: fig8 full Rodinia sweep, steps={_STEPS}",
+        f"workload: fig8 full Rodinia sweep, steps={_STEPS}; "
+        f"machine: {cpus} CPU(s)",
         "",
         f"seed serial (no cache, jobs=1):        {seed_s:8.2f} s",
-        f"PR1: resolve cache, cold pool (jobs={_JOBS}):{pr1_s:8.2f} s"
-        f"  ({seed_s / pr1_s:.2f}x)",
-        f"PR5: warm pool (jobs={_JOBS}):              {warm_pool_s:8.2f} s"
+        f"resolve cache, pool (jobs={_JOBS}):          {pool_s:8.2f} s"
         f"  ({stack_speedup:.2f}x)",
-        f"PR5: --sim-cache cold (stores paid):   {cache_cold_s:8.2f} s"
+        f"--sim-cache cold (stores paid):        {cache_cold_s:8.2f} s"
         f"  ({seed_s / cache_cold_s:.2f}x)",
-        f"PR5: --sim-cache warm re-run:          {cache_warm_s:8.2f} s"
-        f"  ({cache_speedup:.2f}x vs PR1)",
+        f"--sim-cache warm re-run:               {cache_warm_s:8.2f} s"
+        f"  ({cache_speedup:.2f}x vs pool)",
         "",
         "dram frfcfs 16-core contended run (list queue vs indexed):",
         f"list queue (seed):                     {dram_slow_s:8.2f} s",
@@ -125,7 +119,7 @@ def test_bench_perf_fast_path(save_report, tmp_path):
         f"  ({dram_slow_s / dram_fast_s:.2f}x)",
         "",
         f"headline: warm --sim-cache fig8 re-run is {cache_speedup:.2f}x"
-        " the PR1 cached path (>= 5x required); warm-pool stack is"
+        " the uncached pooled path (>= 5x required); the pooled stack is"
         f" {stack_speedup:.2f}x the seed serial path (>= 2x required)",
     ]
     save_report(
@@ -133,10 +127,11 @@ def test_bench_perf_fast_path(save_report, tmp_path):
         "\n".join(lines),
         seconds=cache_warm_s,
         speedup=cache_speedup,
-        baseline="pr1-resolve-cache-cold-pool",
+        baseline="resolve-cache-pool",
+        cpu_count=cpus,
+        jobs=_JOBS,
         seed_seconds=seed_s,
-        pr1_seconds=pr1_s,
-        warm_pool_seconds=warm_pool_s,
+        pool_seconds=pool_s,
         sim_cache_cold_seconds=cache_cold_s,
         sim_cache_warm_seconds=cache_warm_s,
         stack_speedup=stack_speedup,
@@ -147,5 +142,5 @@ def test_bench_perf_fast_path(save_report, tmp_path):
         f"expected >= 2x vs seed, measured {stack_speedup:.2f}x"
     )
     assert cache_speedup >= 5.0, (
-        f"expected >= 5x vs PR1 path, measured {cache_speedup:.2f}x"
+        f"expected >= 5x vs pooled path, measured {cache_speedup:.2f}x"
     )

@@ -158,10 +158,6 @@ def _cmd_experiment(args) -> int:
         forwarded.extend(["--jobs", str(args.jobs)])
     if args.sim_cache:
         forwarded.append(f"--sim-cache={args.sim_cache}")
-    if args.checkpoint:
-        forwarded.append(f"--checkpoint={args.checkpoint}")
-    if args.job_timeout is not None:
-        forwarded.extend(["--job-timeout", str(args.job_timeout)])
     if args.trace:
         forwarded.extend(["--trace", args.trace])
     if args.metrics:
@@ -594,29 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
             "memoize simulation results on disk (content-addressed; "
             "warm re-runs are bit-identical and near-instant; "
             "default DIR: .sim-cache)"
-        ),
-    )
-    p.add_argument(
-        "--checkpoint",
-        nargs="?",
-        const=".sim-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persist each job's result as it completes so an "
-            "interrupted run resumes from completed work "
-            "(default DIR: .sim-cache)"
-        ),
-    )
-    p.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        dest="job_timeout",
-        help=(
-            "per-chunk deadline under --jobs N; late chunks are "
-            "treated as lost and re-dispatched"
         ),
     )
     p.add_argument(

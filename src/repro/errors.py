@@ -26,11 +26,11 @@ class SimulationError(ReproError):
 class JobFailedError(SimulationError):
     """A :func:`repro.perf.parallel_map` job raised.
 
-    Carries the failing job's index and label so a sweep of hundreds of
-    jobs reports *which* one died; the worker pool survives the failure.
-    ``__cause__`` holds the original exception on the serial path; on
-    the process-pool path the original traceback text is embedded in
-    the message instead (exceptions do not always pickle).
+    Carries the failing job's index and label so a sweep of many jobs
+    reports *which* one died. ``__cause__`` holds the original exception
+    on the serial path; on the process-pool path the worker traceback
+    text is embedded in the message instead (exceptions do not always
+    pickle).
     """
 
     def __init__(self, message: str, index: int, label: str) -> None:
@@ -39,16 +39,14 @@ class JobFailedError(SimulationError):
         self.label = label
 
 
-class PoolRecoveryError(SimulationError):
-    """Worker-loss recovery exhausted its retry budget.
+class WorkerLostError(SimulationError):
+    """A :func:`repro.perf.parallel_map` worker process died.
 
-    The persistent pool (:mod:`repro.perf.pool`) survives worker death
-    by rebuilding itself and re-dispatching only the jobs whose results
-    were lost. When the same jobs keep dying past the recovery policy's
-    per-job attempt bound, this is raised carrying the still-lost job
-    indices and their labels, so a campaign of hundreds of sweeps
-    reports *which* jobs could not be completed rather than hanging or
-    silently dropping results.
+    Raised when the pool breaks (``BrokenProcessPool``: a worker was
+    killed or crashed) instead of a job raising. Carries the indices and
+    labels of every job left without a result. Results that arrived
+    before the loss were already stored in the active sim cache, so a
+    re-run with the same ``--sim-cache`` directory computes only these.
     """
 
     def __init__(

@@ -150,31 +150,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--checkpoint",
-        nargs="?",
-        const=".sim-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persist each job's result to the sim-cache as it completes, "
-            "so an interrupted sweep (Ctrl-C, OOM kill) re-run with the "
-            "same flag resumes from the completed jobs instead of "
-            "restarting; implies --sim-cache DIR (default DIR: .sim-cache)"
-        ),
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        dest="job_timeout",
-        help=(
-            "per-chunk deadline for --jobs workers: a chunk past it is "
-            "treated as lost (its worker is killed, the pool rebuilt) and "
-            "its jobs are re-dispatched under the recovery policy"
-        ),
-    )
-    parser.add_argument(
         "--trace",
         metavar="FILE",
         help=(
@@ -201,16 +176,7 @@ def main(argv=None) -> int:
         return 0
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        parser.error("--job-timeout must be > 0 seconds")
     cache_dir = args.sim_cache
-    if args.checkpoint:
-        if cache_dir is not None and Path(cache_dir) != Path(args.checkpoint):
-            parser.error(
-                "--checkpoint and --sim-cache point at different "
-                "directories; pick one"
-            )
-        cache_dir = args.checkpoint
     names = list(EXPERIMENTS) if args.all else args.names
     if not names:
         parser.print_help()
@@ -221,18 +187,13 @@ def main(argv=None) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    import dataclasses
-
     from repro.perf import (
         ExperimentJob,
         Stopwatch,
         activate_sim_cache,
         default_max_workers,
         parallel_map,
-        recovery_counters,
-        recovery_policy,
         set_default_max_workers,
-        set_recovery_policy,
         set_sim_cache,
     )
     from repro.perf.simcache import active_sim_cache
@@ -241,14 +202,7 @@ def main(argv=None) -> int:
     previous_default = default_max_workers()
     set_default_max_workers(args.jobs)
     previous_cache = active_sim_cache()
-    if cache_dir:
-        activate_sim_cache(cache_dir)
-    previous_policy = recovery_policy()
-    if args.job_timeout is not None:
-        set_recovery_policy(
-            dataclasses.replace(previous_policy, job_timeout=args.job_timeout)
-        )
-    recovery_before = recovery_counters()
+    cache = activate_sim_cache(cache_dir) if cache_dir else None
     try:
         if args.jobs > 1 and len(names) > 1:
             from repro.perf.timing import monotonic_anchor
@@ -277,6 +231,8 @@ def main(argv=None) -> int:
                 print(f"==== {outcome.name} ({outcome.elapsed:.1f}s) ====")
                 print(outcome.report)
                 print()
+                if cache is not None:
+                    cache.absorb_counts(outcome.sim_cache_counts)
             merged = None
             if args.metrics:
                 from repro.obs import merge_snapshots, metrics_table
@@ -333,18 +289,7 @@ def main(argv=None) -> int:
         return 0
     finally:
         set_default_max_workers(previous_default)
-        set_recovery_policy(previous_policy)
-        recovery_after = recovery_counters()
-        recovered = {
-            key: value - recovery_before.get(key, 0)
-            for key, value in sorted(recovery_after.items())
-            if value - recovery_before.get(key, 0)
-        }
-        if recovered:
-            note = ", ".join(f"{k}={v}" for k, v in recovered.items())
-            print(f"recovery: {note}", file=sys.stderr)
-        cache = active_sim_cache()
-        if cache_dir and cache is not None:
+        if cache is not None:
             print(cache.stats_line(), file=sys.stderr)
         set_sim_cache(previous_cache)
 

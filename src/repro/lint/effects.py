@@ -11,7 +11,7 @@ cannot be proven at that granularity:
   :mod:`repro.obs` may flow into soc/dram model state, control flow, or
   results (the traced == untraced bit-identity contract);
 - **fork/pool safety** — code reachable from
-  :mod:`repro.perf.pool` worker entry points must not mutate module
+  :mod:`repro.perf.executor` worker entry points must not mutate module
   globals the coordinator also depends on, unless the owning module
   explicitly declares them process-local.
 

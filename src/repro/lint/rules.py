@@ -1390,7 +1390,7 @@ def _check_obs_purity(tree: ast.Module, ctx: FileContext) -> List[Finding]:
 def _check_fork_safety(tree: ast.Module, ctx: FileContext) -> List[Finding]:
     """Worker-reachable code must not mutate shared-looking globals.
 
-    **Why.** :mod:`repro.perf.pool` runs jobs in forked worker
+    **Why.** :mod:`repro.perf.executor` runs jobs in forked worker
     processes. A module-level global mutated in code reachable from a
     worker entry point (a function handed to ``.submit(...)`` or
     ``initializer=``) silently diverges between coordinator and

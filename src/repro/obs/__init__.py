@@ -13,7 +13,7 @@
   code version, machine spec) attached to experiment outputs;
 - :mod:`repro.obs.runtime` — process-wide session management so cached
   engines pick tracing up without constructor threading;
-- :mod:`repro.obs.stitch` — cross-process trace stitching: worker pool
+- :mod:`repro.obs.stitch` — cross-process trace stitching: pool worker
   buffers aligned onto the coordinator's timeline;
 - :mod:`repro.obs.profile` — deterministic sim-clock profiler
   (cumulative/self time per phase, collapsed-stack flamegraph output);

@@ -142,19 +142,6 @@ class MetricsSnapshot:
                 return value
         return 0.0
 
-    def counters_with_prefix(self, prefix: str) -> Tuple[Tuple[str, float], ...]:
-        """Counters under a namespace (e.g. ``"perf.simcache."``).
-
-        Robustness tests use this to assert on a whole counter family
-        (``pool.*``, ``jobs.*``) at once — sorted by name, like every
-        snapshot view.
-        """
-        return tuple(
-            (key, value)
-            for key, value in self.counters
-            if key.startswith(prefix)
-        )
-
 
 class MetricsRegistry:
     """Get-or-create instrument store with deterministic export order."""
@@ -222,8 +209,8 @@ class MetricsRegistry:
 
         The in-place dual of :meth:`MetricsSnapshot.merge`, with the
         same semantics (counters and histogram buckets add, gauges keep
-        the maximum). The persistent worker pool uses it to ship
-        per-chunk snapshots back into the coordinator's session, so
+        the maximum). The process pool behind ``parallel_map`` uses it
+        to fold per-chunk snapshots into the coordinator's session, so
         counters under the pool path equal the serial path exactly.
         """
         for name, value in snapshot.counters:

@@ -3,15 +3,10 @@
 Public surface:
 
 - :func:`parallel_map` — order-preserving process-parallel job map with
-  a serial fallback (``max_workers <= 1``), persistent-pool dispatch
-  and transparent simulation-cache lookup;
+  a serial fallback (``max_workers <= 1``), one process pool per call,
+  and transparent simulation-cache lookup and eager stores;
 - :func:`set_default_max_workers` / :func:`default_max_workers` — the
   process-global ``--jobs`` default experiments consult;
-- :mod:`repro.perf.pool` — the persistent warm worker pool
-  (:func:`shutdown_pool`, :func:`pool_size`, :func:`pool_generation`)
-  and its worker-loss recovery policy (:class:`RecoveryPolicy`,
-  :func:`set_recovery_policy`, :func:`recovery_policy`,
-  :func:`recovery_counters`);
 - :mod:`repro.perf.simcache` — the content-addressed simulation result
   cache behind ``--sim-cache`` (:class:`SimCache`,
   :func:`activate_sim_cache`, :func:`active_sim_cache`,
@@ -31,16 +26,6 @@ from repro.perf.executor import (
     set_default_max_workers,
 )
 from repro.perf.jobs import ExperimentJob, ExperimentOutcome, PressureSweepJob
-from repro.perf.pool import (
-    RecoveryPolicy,
-    configure_warm_socs,
-    pool_generation,
-    pool_size,
-    recovery_counters,
-    recovery_policy,
-    set_recovery_policy,
-    shutdown_pool,
-)
 from repro.perf.simcache import (
     SimCache,
     activate_sim_cache,
@@ -51,23 +36,15 @@ from repro.perf.timing import Stopwatch, wall_clock_seconds
 
 __all__ = [
     "Job",
-    "RecoveryPolicy",
     "SimCache",
     "Stopwatch",
     "activate_sim_cache",
     "active_sim_cache",
-    "configure_warm_socs",
     "default_max_workers",
     "job_label",
     "parallel_map",
-    "pool_generation",
-    "pool_size",
-    "recovery_counters",
-    "recovery_policy",
     "set_default_max_workers",
-    "set_recovery_policy",
     "set_sim_cache",
-    "shutdown_pool",
     "wall_clock_seconds",
     "ExperimentJob",
     "ExperimentOutcome",

@@ -25,8 +25,8 @@ pragma: it is typo-checked and reads as documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.stitch import WorkerTrace
@@ -97,6 +97,9 @@ class ExperimentOutcome:
     coordinator stamps the job index via
     :meth:`~repro.obs.stitch.WorkerTrace.with_first_index` before
     stitching, since the worker does not know it.
+    ``sim_cache_counts`` is what this job added to the worker's
+    simulation-cache counters (:meth:`repro.perf.simcache.SimCache.counts`),
+    for the coordinator to sum into its stats line.
     """
 
     name: str
@@ -105,6 +108,7 @@ class ExperimentOutcome:
     csv_count: int = 0
     metrics_snapshot: Optional[MetricsSnapshot] = None
     trace: Optional[WorkerTrace] = None
+    sim_cache_counts: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -118,12 +122,10 @@ class ExperimentJob:
     re-activates the coordinator's simulation cache inside the worker,
     and the experiment's internal sweeps are cached at the
     :class:`PressureSweepJob` granularity (shared across experiments).
-    That same granularity carries retry and checkpoint semantics: if
-    this job is re-dispatched after a worker loss, or the whole run is
-    interrupted and restarted under ``runner --checkpoint``, the sweeps
-    already stored under ``sim_cache_dir`` are served from disk and
-    only the unfinished ones are recomputed — re-running the experiment
-    body itself is cheap, idempotent rendering on top of those results.
+    An interrupted run re-run with the same ``--sim-cache`` directory
+    serves the sweeps already stored there and recomputes only the
+    rest — re-running the experiment body itself is cheap, idempotent
+    rendering on top of those results.
 
     With ``metrics=True`` the worker activates its own observability
     session and returns the registry snapshot in the outcome; with
@@ -155,8 +157,12 @@ class ExperimentJob:
         # This job is the unit of parallelism: never fork a nested pool
         # (the forked child inherits the parent's --jobs default).
         set_default_max_workers(1)
+        cache = None
         if self.sim_cache_dir is not None:
-            activate_sim_cache(self.sim_cache_dir)
+            cache = activate_sim_cache(self.sim_cache_dir)
+        # A worker runs several jobs on one cache object: ship only this
+        # job's share of its counts.
+        cache_before = cache.counts() if cache is not None else {}
         watch = Stopwatch()
         snapshot: Optional[MetricsSnapshot] = None
         trace: Optional[WorkerTrace] = None
@@ -164,7 +170,6 @@ class ExperimentJob:
             from repro.obs import runtime as obs_runtime
             from repro.obs.runtime import ObsSession
             from repro.obs.stitch import buffer_from_session
-            from repro.perf.pool import worker_spawn_anchor
 
             session = ObsSession(trace=self.trace, metrics=self.metrics)
             obs_runtime.activate(session)
@@ -178,7 +183,6 @@ class ExperimentJob:
                 events, spans = buffer_from_session(session.tracer.buffer)
                 trace = WorkerTrace(
                     worker_pid=os.getpid(),
-                    spawn_anchor=worker_spawn_anchor(),
                     anchor=session.anchor,
                     first_index=0,
                     events=events,
@@ -195,6 +199,7 @@ class ExperimentJob:
             (out_dir / f"{self.name}.txt").write_text(report + "\n")
             if self.csv:
                 csv_count = save_result_csvs(self.name, result, out_dir)
+        cache_after = cache.counts() if cache is not None else {}
         return ExperimentOutcome(
             name=self.name,
             report=report,
@@ -202,4 +207,8 @@ class ExperimentJob:
             csv_count=csv_count,
             metrics_snapshot=snapshot,
             trace=trace,
+            sim_cache_counts={
+                name: count - cache_before[name]
+                for name, count in cache_after.items()
+            },
         )

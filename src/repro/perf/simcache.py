@@ -30,7 +30,10 @@ fails at the OS level (disk full, read-only directory) degrades to
 Hit/miss/store/invalidation counts live on the cache object and are
 mirrored into the active observability session's metrics registry
 (``perf.simcache.*``), so ``--metrics`` runs report them alongside the
-engine counters.
+engine counters. Pool workers that run whole experiments count on their
+own cache object and ship the counts back
+(:meth:`SimCache.counts` / :meth:`SimCache.absorb_counts`), so the
+runner's stats line covers every process.
 
 Bit-identity contract: a cache hit returns the unpickled result value
 object, which compares (and renders) byte-identically to a fresh
@@ -40,15 +43,12 @@ experiment artifacts.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import itertools
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
-
-from repro.robust import faults
+from typing import Any, Dict, Optional, Tuple, Union
 
 CACHE_DIR_NAME = ".sim-cache"
 CACHE_SCHEMA_VERSION = 1
@@ -56,6 +56,9 @@ CACHE_SCHEMA_VERSION = 1
 _CODE_FINGERPRINT: Optional[str] = None
 
 _ACTIVE: Optional["SimCache"] = None
+
+#: The counters :meth:`SimCache.counts` reports and workers ship back.
+_COUNTED = ("hits", "misses", "stores", "invalidations", "store_failures")
 
 #: Per-process monotonic suffix for tmp names. Together with the pid it
 #: makes every in-flight tmp path unique across the whole pool — two
@@ -231,12 +234,8 @@ class SimCache:
             blob = pickle.dumps(payload)
         except Exception:  # noqa: BLE001 - uncacheable result, not an error
             return False
-        if faults.claim_store_corruption():
-            blob = faults.truncate_blob(blob)
         tmp: Optional[Path] = None
         try:
-            if faults.claim_store_failure():
-                raise OSError(errno.ENOSPC, "injected store failure")
             entry.parent.mkdir(parents=True, exist_ok=True)
             # pid + per-process counter: unique across every concurrent
             # writer in the pool (id(self) was not — see tests).
@@ -268,6 +267,15 @@ class SimCache:
         metrics = obs_runtime.active().metrics
         if metrics.enabled:
             metrics.counter(f"perf.simcache.{which}").inc()
+
+    def counts(self) -> Dict[str, int]:
+        """The lookup/store counters, keyed like the obs metrics."""
+        return {name: getattr(self, name) for name in _COUNTED}
+
+    def absorb_counts(self, counts: Dict[str, int]) -> None:
+        """Add counts another process's cache recorded (pool workers)."""
+        for name in _COUNTED:
+            setattr(self, name, getattr(self, name) + counts.get(name, 0))
 
     def stats_line(self) -> str:
         line = (

@@ -323,6 +323,19 @@ class TestWorkerEntryPoints:
         )
         assert any("chunk" in ref for ref in module.entry_points)
 
+    def test_real_executor_entry_points_are_seen(self):
+        """LINT016 only covers code reachable from an entry point it can
+        find; a pool rewrite that hides its worker functions (e.g. behind
+        ``executor.map``) would silently drop the executor from view."""
+        path = (
+            Path(__file__).resolve().parents[2]
+            / "src" / "repro" / "perf" / "executor.py"
+        )
+        program = build_program([(str(path), path.read_text())])
+        entries = set(program.worker_entry_points())
+        assert "repro.perf.executor:_run_chunk" in entries
+        assert "repro.perf.executor:_init_worker" in entries
+
 
 class TestEffectsCache:
     def test_round_trip_preserves_summaries(self, tmp_path: Path):

@@ -1,32 +1,28 @@
-"""The persistent warm worker pool: reuse, chunking, failures, metrics.
+"""The per-call process pool behind ``parallel_map``.
 
-The tentpole contract is unchanged from PR 1: the pool may only change
-wall-clock time, never a reported number — pool results must be
-bit-identical to the serial path and to a fresh-executor-per-call run.
+The pool may only change wall-clock time, never a reported number:
+pooled results must be bit-identical to the serial path. Each parallel
+call owns its pool, so a failed or broken call leaves nothing behind
+for the next one.
 """
 
 import os
+import signal
+import time
 from dataclasses import dataclass
 
 import pytest
 
-from repro.errors import JobFailedError
+from repro.errors import JobFailedError, WorkerLostError
 from repro.experiments import common
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.runtime import ObsSession
-from repro.perf import parallel_map, pool_generation, pool_size, shutdown_pool
-from repro.perf.pool import _chunk_size, get_pool, map_on_pool
-
-
-@dataclass(frozen=True)
-class PidJob:
-    """Reports the process it ran in (pool-reuse evidence)."""
-
-    tag: int
-
-    def run(self) -> int:
-        return os.getpid()
+from repro.perf import (
+    default_max_workers,
+    parallel_map,
+    set_default_max_workers,
+)
 
 
 @dataclass(frozen=True)
@@ -47,133 +43,82 @@ class Fail:
         return self.value
 
 
-@pytest.fixture(autouse=True)
-def _fresh_pool():
-    shutdown_pool()
-    yield
-    shutdown_pool()
-
-
-class TestPoolLifecycle:
-    def test_pool_reused_across_calls(self):
-        first = parallel_map([PidJob(i) for i in range(6)], max_workers=2)
-        generation = pool_generation()
-        second = parallel_map([PidJob(i) for i in range(6)], max_workers=2)
-        assert pool_generation() == generation  # same pool object
-        assert pool_size() == 2
-        # Same worker processes served both calls.
-        assert set(first) & set(second)
-
-    def test_pool_grows_but_never_shrinks(self):
-        get_pool(2)
-        generation = pool_generation()
-        get_pool(1)
-        assert pool_size() == 2 and pool_generation() == generation
-        get_pool(3)
-        assert pool_size() == 3 and pool_generation() == generation + 1
-
-    def test_shutdown_then_recreate(self):
-        parallel_map([Echo(i) for i in range(4)], max_workers=2)
-        assert pool_size() == 2
-        shutdown_pool()
-        assert pool_size() == 0
-        assert parallel_map([Echo(7)], max_workers=2) == [7]
-
-    def test_chunk_size_adaptive(self):
-        assert _chunk_size(1, 4) == 1
-        assert _chunk_size(16, 4) == 1
-        assert _chunk_size(320, 4) == 20
-        assert _chunk_size(5, 1) == 2
-
-    def test_ordering_preserved_across_chunks(self):
-        jobs = [Echo(i) for i in range(37)]
-        assert parallel_map(jobs, max_workers=3) == list(range(37))
-
-
 @dataclass(frozen=True)
 class Sleep:
     seconds: float
 
     def run(self) -> float:
-        import time
-
         time.sleep(self.seconds)
         return self.seconds
 
 
-class TestShutdownSemantics:
-    def test_nonblocking_shutdown_returns_immediately(self):
-        """The atexit path must not wait out a busy (or wedged) worker."""
-        import time
+@dataclass(frozen=True)
+class KillOwnWorker:
+    """SIGKILLs the worker running it — what an OOM kill looks like."""
 
-        pool = get_pool(1)
-        future = pool.submit(_sleep_forever_ish)
-        time.sleep(0.2)  # let the worker actually pick the task up
-        start = time.monotonic()
-        shutdown_pool(wait=False)
-        elapsed = time.monotonic() - start
-        assert elapsed < 1.0  # did not block on the 3s task
-        assert pool_size() == 0
-        future.cancel()
+    coordinator_pid: int
 
-    def test_blocking_shutdown_still_default(self):
-        parallel_map([Echo(i) for i in range(3)], max_workers=2)
-        shutdown_pool()  # explicit callers keep the wait=True contract
-        assert pool_size() == 0
+    def run(self) -> int:
+        if os.getpid() == self.coordinator_pid:
+            raise RuntimeError("must only run inside a pool worker")
+        os.kill(os.getpid(), signal.SIGKILL)
+        return 0
 
 
-class TestRecoveryPolicyValidation:
-    def test_rejects_nonpositive_bounds(self):
-        from repro.errors import ConfigurationError
-        from repro.perf import RecoveryPolicy
+@dataclass(frozen=True)
+class ReadWorkerDefault:
+    tag: int
 
-        with pytest.raises(ConfigurationError, match="max_attempts"):
-            RecoveryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError, match="max_consecutive"):
-            RecoveryPolicy(max_consecutive_rebuilds=0)
-        with pytest.raises(ConfigurationError, match="job_timeout"):
-            RecoveryPolicy(job_timeout=0.0)
+    def run(self) -> int:
+        return default_max_workers()
 
-    def test_policy_roundtrip(self):
-        from repro.perf import (
-            RecoveryPolicy,
-            recovery_policy,
-            set_recovery_policy,
-        )
 
-        previous = recovery_policy()
+class TestPoolLifecycle:
+    def test_ordering_preserved_across_chunks(self):
+        jobs = [Echo(i) for i in range(37)]
+        assert parallel_map(jobs, max_workers=3) == list(range(37))
+
+    def test_workers_never_fork_nested_pools(self):
+        previous = default_max_workers()
+        set_default_max_workers(3)
         try:
-            policy = RecoveryPolicy(max_attempts=5, job_timeout=2.5)
-            set_recovery_policy(policy)
-            assert recovery_policy() == policy
+            seen = parallel_map(
+                [ReadWorkerDefault(i) for i in range(4)], max_workers=2
+            )
         finally:
-            set_recovery_policy(previous)
-
-
-def _sleep_forever_ish():
-    import time
-
-    time.sleep(3.0)
+            set_default_max_workers(previous)
+        assert seen == [1, 1, 1, 1]
 
 
 class TestPoolFailures:
-    def test_failure_names_index_and_label_and_pool_survives(self):
+    def test_failure_names_index_label_and_worker_traceback(self):
         jobs = [Fail(i) for i in range(5)] + [Fail(-1)] + [Fail(9)]
         with pytest.raises(JobFailedError, match="bad value -1") as excinfo:
             parallel_map(jobs, max_workers=2)
         assert excinfo.value.index == 5
-        assert "Fail" in excinfo.value.label
+        assert excinfo.value.label == "Fail#5"
         assert "RuntimeError" in str(excinfo.value)
         assert "worker traceback" in str(excinfo.value)
-        generation = pool_generation()
+        assert "raise RuntimeError" in str(excinfo.value)
         assert parallel_map([Echo(1), Echo(2)], max_workers=2) == [1, 2]
-        assert pool_generation() == generation  # not orphaned or rebuilt
 
-    def test_map_on_pool_returns_results_by_index(self):
-        results = map_on_pool(
-            [(4, Echo(40)), (2, Echo(20))], {4: "a", 2: "b"}, 2
+    def test_failure_does_not_wait_for_busy_workers(self):
+        start = time.monotonic()
+        with pytest.raises(JobFailedError):
+            parallel_map([Sleep(3.0), Fail(-1)], max_workers=2)
+        assert time.monotonic() - start < 2.5
+
+    def test_killed_worker_raises_worker_lost_error(self):
+        jobs = [Echo(0), KillOwnWorker(os.getpid()), Echo(2), Echo(3)]
+        with pytest.raises(WorkerLostError, match="KillOwnWorker#1") as exc:
+            parallel_map(jobs, max_workers=2)
+        lost = exc.value
+        assert 1 in lost.indices
+        assert list(lost.indices) == sorted(lost.indices)
+        assert lost.labels == tuple(
+            type(jobs[i]).__name__ + f"#{i}" for i in lost.indices
         )
-        assert results == {4: 40, 2: 20}
+        assert parallel_map([Echo(1), Echo(2)], max_workers=2) == [1, 2]
 
 
 class TestPoolMetricsShipping:
@@ -222,7 +167,7 @@ class TestPoolMetricsShipping:
 
 class TestPoolVsSerialBitIdentity:
     def test_fig8_pool_vs_serial_vs_fresh_executor(self):
-        """Warm pool == serial == PR 1's fresh-pool-per-call executor."""
+        """parallel_map's pool == serial == a plain executor.map."""
         from concurrent.futures import ProcessPoolExecutor
 
         from repro.experiments.fig8_11 import run_validation
@@ -242,7 +187,6 @@ class TestPoolVsSerialBitIdentity:
         )
         assert serial == pooled
 
-        # PR 1 path: a cold executor spawned for this one call.
         engine = common.engine_for("xavier-agx")
         levels = tuple(pressure_levels(engine.soc.peak_bw, steps=3))
         jobs = [
@@ -253,31 +197,23 @@ class TestPoolVsSerialBitIdentity:
         ]
         with ProcessPoolExecutor(max_workers=2) as fresh:
             fresh_sweeps = list(fresh.map(_run_job, jobs))
-        pool_sweeps = parallel_map(jobs, max_workers=2)
-        assert fresh_sweeps == pool_sweeps
+        assert fresh_sweeps == parallel_map(jobs, max_workers=2)
 
-    def test_pool_reuse_across_two_consecutive_sweeps(self):
-        """Second sweep reuses warm workers and still matches serial."""
-        from repro.experiments.fig8_11 import run_validation
+    def test_fig8_jobs2_byte_identical_to_serial(self, tmp_path, capsys):
+        from repro.experiments.runner import main
 
-        common.clear_caches()
-        first_serial = run_validation(
-            "fig8", steps=3, benchmarks=("cfd", "bfs"), jobs=1
-        )
-        second_serial = run_validation(
-            "fig9", steps=3, benchmarks=("streamcluster", "bfs"), jobs=1
-        )
-        common.clear_caches()
-        first = run_validation(
-            "fig8", steps=3, benchmarks=("cfd", "bfs"), jobs=2
-        )
-        generation = pool_generation()
-        second = run_validation(
-            "fig9", steps=3, benchmarks=("streamcluster", "bfs"), jobs=2
-        )
-        assert pool_generation() == generation
-        assert first == first_serial
-        assert second == second_serial
+        outputs = []
+        for jobs in ("1", "2"):
+            common.clear_caches()
+            out = tmp_path / f"jobs{jobs}"
+            args = ["fig8", "--out", str(out), "--csv", "--jobs", jobs]
+            assert main(args) == 0
+            outputs.append(
+                {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            )
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert "fig8.txt" in outputs[0]
 
 
 def _run_job(job):

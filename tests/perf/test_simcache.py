@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.experiments import common
-from repro.perf import parallel_map, shutdown_pool
+from repro.errors import JobFailedError, WorkerLostError
+from repro.perf import parallel_map
 from repro.perf.jobs import ExperimentJob, PressureSweepJob
 from repro.perf.simcache import (
     CACHE_SCHEMA_VERSION,
@@ -306,6 +307,158 @@ class TestParallelMapIntegration:
         assert _tally(tally) == 4  # every call re-executes
 
 
+@dataclass(frozen=True)
+class CacheableJob:
+    """Deterministic, cacheable toy job."""
+
+    value: int
+
+    def signature(self) -> str:
+        return f"eager-store-test:{self.value}"
+
+    def run(self) -> int:
+        return self.value * 7
+
+
+@dataclass(frozen=True)
+class FailingJob:
+    """Fails after a pause, so sibling jobs finish first on the pool."""
+
+    def signature(self) -> str:
+        return "eager-store-test:poison"
+
+    def run(self) -> int:
+        import time
+
+        time.sleep(0.5)
+        raise RuntimeError("sweep dies here")
+
+
+@dataclass(frozen=True)
+class KillingJob:
+    """SIGKILLs its pool worker after a pause (never the coordinator)."""
+
+    coordinator_pid: int
+
+    def signature(self) -> str:
+        return "eager-store-test:kill"
+
+    def run(self) -> int:
+        import os
+        import signal
+        import time
+
+        if os.getpid() == self.coordinator_pid:
+            raise RuntimeError("must only run inside a pool worker")
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+        return 0
+
+
+class TestEagerStores:
+    """Each result is stored as it arrives, so an aborted sweep's
+    finished jobs are on disk and a re-run resumes from them."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_completed_jobs_survive_a_failing_sweep(self, tmp_path, jobs):
+        cache = activate_sim_cache(tmp_path / "cache")
+        with pytest.raises(JobFailedError):
+            parallel_map(
+                [CacheableJob(i) for i in range(6)] + [FailingJob()],
+                max_workers=jobs,
+            )
+        assert cache.stores == 6  # stored before the failure, not after
+
+        # The re-run, on a fresh cache object as a new process builds.
+        resumed = SimCache(tmp_path / "cache")
+        set_sim_cache(resumed)
+        results = parallel_map(
+            [CacheableJob(i) for i in range(6)], max_workers=jobs
+        )
+        assert results == [i * 7 for i in range(6)]
+        assert (resumed.hits, resumed.misses) == (6, 0)
+
+    def test_completed_jobs_survive_a_lost_worker(self, tmp_path):
+        import os
+
+        cache = activate_sim_cache(tmp_path / "cache")
+        jobs = [CacheableJob(i) for i in range(6)]
+        with pytest.raises(WorkerLostError) as excinfo:
+            parallel_map(jobs + [KillingJob(os.getpid())], max_workers=2)
+        assert 6 in excinfo.value.indices
+        assert cache.stores == 6
+
+        resumed = SimCache(tmp_path / "cache")
+        set_sim_cache(resumed)
+        assert parallel_map(jobs, max_workers=2) == [i * 7 for i in range(6)]
+        assert (resumed.hits, resumed.misses) == (6, 0)
+
+    def test_pool_path_stores_each_result_once(self, tmp_path):
+        cache = activate_sim_cache(tmp_path / "cache")
+        jobs = [CacheableJob(i) for i in range(8)]
+        results = parallel_map(jobs, max_workers=2)
+        assert results == [i * 7 for i in range(8)]
+        assert cache.stores == 8
+        again = parallel_map(jobs, max_workers=2)
+        assert again == results
+        assert (cache.stores, cache.hits) == (8, 8)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_partial_sweep_resumes_without_recomputing(self, tmp_path, jobs):
+        from repro.experiments.fig8_11 import run_validation
+
+        common.clear_caches()
+        reference = run_validation(
+            "fig8", steps=3, benchmarks=("cfd", "bfs"), jobs=1
+        )
+
+        # The "interrupted" run: only part of the sweep completed.
+        cache = activate_sim_cache(tmp_path / "cache")
+        common.clear_caches()
+        run_validation("fig8", steps=3, benchmarks=("cfd",), jobs=jobs)
+        completed = cache.stores
+        assert completed > 0
+
+        # Over the full sweep the completed part is served from disk.
+        common.clear_caches()
+        resumed = run_validation(
+            "fig8", steps=3, benchmarks=("cfd", "bfs"), jobs=jobs
+        )
+        assert resumed == reference
+        assert cache.hits >= completed
+        assert cache.misses > 0  # the genuinely new work
+
+
+class TestRunnerStatsLine:
+    @staticmethod
+    def _stats(main, capsys, args):
+        common.clear_caches()
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        (line,) = [row for row in err.splitlines() if "sim-cache:" in row]
+        return line.split(" under ")[0]
+
+    def test_worker_counts_reach_the_stats_line(self, tmp_path, capsys):
+        """Multi-experiment --jobs N runs count inside ExperimentJob
+        workers; their counts must reach the coordinator's line."""
+        from repro.experiments.runner import main
+
+        names = ["fig8", "fig9"]
+        serial_dir = str(tmp_path / "serial")
+        pooled_dir = str(tmp_path / "pooled")
+        serial = self._stats(main, capsys, names + ["--sim-cache", serial_dir])
+        cold = self._stats(
+            main, capsys, names + ["--jobs", "2", "--sim-cache", pooled_dir]
+        )
+        warm = self._stats(
+            main, capsys, names + ["--jobs", "2", "--sim-cache", pooled_dir]
+        )
+        assert cold == serial
+        stores = int(cold.split(" miss(es), ")[1].split(" store(s)")[0])
+        assert stores > 0
+        assert warm.startswith(f"sim-cache: {stores} hit(s), 0 miss(es)")
+
+
 class TestCalibrationCaching:
     def test_params_cached_and_identical(self, tmp_path):
         common.clear_caches()
@@ -391,7 +544,6 @@ class TestArtifactBitIdentity:
             == 0
         )
         capsys.readouterr()
-        shutdown_pool()
         assert (plain_dir / "fig9.txt").read_bytes() == (
             fast_dir / "fig9.txt"
         ).read_bytes()

@@ -67,6 +67,30 @@ class TestExperimentSubcommand:
             main(["experiment", "fig2", "--jobs", "0"])
 
 
+class TestRemovedFlags:
+    """Unknown flags, including deleted ones, are argparse errors."""
+
+    @pytest.mark.parametrize(
+        "flags", [["--checkpoint", "ckpt"], ["--job-timeout", "5"]]
+    )
+    def test_pccs_experiment_rejects(self, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "fig2"] + flags)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--checkpoint", "ckpt"], ["--job-timeout", "5"]]
+    )
+    def test_runner_rejects(self, capsys, flags):
+        from repro.experiments.runner import main as runner_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(["fig2"] + flags)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
