@@ -35,7 +35,17 @@ class DecodedAddress(NamedTuple):
 
 
 class AddressMapper:
-    """Decodes byte addresses into (channel, bank, row, column)."""
+    """Decodes byte addresses into (channel, bank, row, column).
+
+    The layout is published as shift/mask attributes so the event loop
+    (:meth:`repro.dram.system.CMPSystem.run`) decodes inline from the
+    same constants :meth:`decode` reads:
+
+    - ``channel = (address >> LINE_BITS) & channel_mask``;
+    - ``column = (address >> column_shift) & column_mask``;
+    - with ``upper = address >> bank_shift``: ``row = upper >>
+      bank_bits`` and ``bank = (upper ^ row) & bank_mask``.
+    """
 
     LINE_BITS = 6  # 64-byte cachelines
 
@@ -45,23 +55,23 @@ class AddressMapper:
         self.bank_bits = _log2(timing.banks_per_channel, "banks_per_channel")
         lines_per_row = timing.row_bytes // 64
         self.column_bits = _log2(lines_per_row, "row_bytes/64")
-        self._channel_mask = timing.channels - 1
-        self._column_mask = lines_per_row - 1
-        self._bank_mask = timing.banks_per_channel - 1
+        self.channel_mask = timing.channels - 1
+        self.column_mask = lines_per_row - 1
+        self.bank_mask = timing.banks_per_channel - 1
+        self.column_shift = self.LINE_BITS + self.channel_bits
+        self.bank_shift = self.column_shift + self.column_bits
 
     def decode(self, address: int) -> DecodedAddress:
         """Map a byte address to its DRAM coordinates."""
         if address < 0:
             raise ConfigurationError(f"address must be >= 0, got {address}")
-        line = address >> self.LINE_BITS
-        channel = line & self._channel_mask
-        line >>= self.channel_bits
-        column = line & self._column_mask
-        line >>= self.column_bits
-        row = line >> self.bank_bits
-        # The bank bits are the low bits of ``line``; the mask keeps
+        channel = (address >> self.LINE_BITS) & self.channel_mask
+        column = (address >> self.column_shift) & self.column_mask
+        upper = address >> self.bank_shift
+        row = upper >> self.bank_bits
+        # The bank bits are the low bits of ``upper``; the mask keeps
         # only them of the XOR.
-        bank = (line ^ row) & self._bank_mask
+        bank = (upper ^ row) & self.bank_mask
         return DecodedAddress(channel, bank, row, column)
 
     @property

@@ -55,11 +55,24 @@ class CoreConfig:
             raise ConfigurationError("burst_lines must be positive")
         if not 0 <= self.write_fraction <= 0.5:
             raise ConfigurationError("write_fraction must be in [0, 0.5]")
+        if self.address_base is not None and self.address_base < 0:
+            # The event loop decodes addresses inline, without
+            # AddressMapper.decode's range check.
+            raise ConfigurationError(
+                f"address_base must be >= 0, got {self.address_base}"
+            )
         if self.trace is not None and len(self.trace) < self.total_requests:
             raise ConfigurationError(
                 "trace shorter than total_requests "
                 f"({len(self.trace)} < {self.total_requests})"
             )
+
+    @property
+    def write_period(self) -> int:
+        """Every ``write_period``-th access is a write; 0 for none."""
+        if self.write_fraction <= 0:
+            return 0
+        return max(int(round(1.0 / self.write_fraction)), 2)
 
     def is_write_index(self, issue_index: int) -> bool:
         """Deterministic write interleaving at the configured fraction.
@@ -67,10 +80,8 @@ class CoreConfig:
         Writes are *posted*: they occupy DRAM bandwidth but do not block
         the core (no MSHR slot, no completion wait).
         """
-        if self.write_fraction <= 0:
-            return False
-        period = max(int(round(1.0 / self.write_fraction)), 2)
-        return issue_index % period == period - 1
+        period = self.write_period
+        return period != 0 and issue_index % period == period - 1
 
     @property
     def interval_ns(self) -> float:
@@ -80,10 +91,16 @@ class CoreConfig:
 
 @dataclass
 class CoreState:
-    """Mutable execution state of one core during simulation."""
+    """Mutable execution state of one core during simulation.
+
+    A synthetic core's ``i``-th access is at ``address_base + 64 * i``.
+    :meth:`next_access` steps through the stream one access at a time;
+    the event loop reads the same addresses by issue index.
+    """
 
     index: int
     config: CoreConfig
+    address_base: int = field(init=False, default=0)
     next_address: int = 0
     next_gen_ns: float = 0.0
     issued: int = 0
@@ -98,7 +115,7 @@ class CoreState:
         base = self.config.address_base
         if base is None:
             base = staggered_base(self.index)
-        self.next_address = base
+        self.address_base = self.next_address = base
 
     @property
     def done_issuing(self) -> bool:

@@ -24,7 +24,8 @@ with plain-list queues (the scan path) and assert bit-identical
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Tuple
+import math
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.dram.bank import ChannelState
 from repro.dram.request import Request
@@ -103,40 +104,61 @@ class ChannelQueue:
         return self._cores
 
     def open_row_hits(self, channel: ChannelState) -> List[Request]:
-        """Queued requests whose bank currently has their row open.
+        """The oldest queued request of each open row.
 
-        Probes each distinct queued (bank, row) group once — the same
-        hit set a full ``channel.is_row_hit`` scan would produce (bank
-        state is materialised per probed bank, exactly like the scan).
+        A bank has at most one open row, so this probes each queued
+        bank's ``(bank, open_row)`` group and returns its head: the
+        oldest row hit is the oldest of these heads. Every queued bank
+        is materialised, exactly like a full ``channel.is_row_hit``
+        scan.
         """
-        hits: List[Request] = []
+        heads: List[Request] = []
+        banks = channel.banks
+        rows = self._rows
         # lint: disable=LINT001 — probe order never reaches a scheduler
-        # decision: every selection over the hit set reduces with min()
-        # on the total (arrival_ns, req_id) key, and the list-queue
-        # equivalence tests (tests/dram/test_queue.py) pin bit-identical
-        # results. Sorting here would put an O(n log n) pass on the
-        # event loop's hottest path for nothing.
-        for (bank_index, row), group in self._rows.items():
-            if channel.bank(bank_index).open_row == row:
-                hits.extend(group.values())
-        return hits
+        # decision: hit_first_oldest reduces the heads with min() on the
+        # total (arrival_ns, req_id) key, and materialising a bank is
+        # order-free (refresh walks banks sorted). Each row group is in
+        # arrival order, so its first value is its oldest request.
+        for bank_index in self._banks:
+            bank = banks.get(bank_index) or channel.bank(bank_index)
+            group = rows.get((bank_index, bank.open_row))
+            if group is not None:
+                heads.append(next(iter(group.values())))
+        return heads
 
-    def ready(
-        self, channel: ChannelState, now: float, window_ns: float
-    ) -> List[Request]:
-        """Requests whose data burst could start by ``now + window_ns``.
+    def select_ready(
+        self,
+        channel: ChannelState,
+        now: float,
+        window_ns: float,
+        priority: Sequence[float],
+    ) -> Request:
+        """The best ready request by ``(priority[core], not hit, age)``.
 
-        The same set as keeping each request ``r`` with
-        ``channel.earliest_data_start(r, now) <= now + window_ns``,
-        found per bank instead of per request. With ``limit = now +
-        window_ns`` (``window_ns >= 0``, so ``now <= limit``) and
-        preparation time ``prep`` (0 for an open-row hit), a request is
-        ready iff ``bank.ready_at + prep <= limit`` and ``arrival_ns +
-        prep <= limit``: ``max`` commutes with the monotone float
-        rounding of ``+ prep``, so the test is exact.
-        The arrival half holds for an arrival-ordered prefix of the
-        bank's bucket; past that prefix only open-row hits can still
-        qualify, and they are read from the ``(bank, row)`` index.
+        :meth:`repro.dram.schedulers.base.Scheduler.ready_subset`
+        followed by ``priority_hit_oldest`` in one pass, without the
+        pool list or key tuples. The queue must be non-empty.
+
+        A request ``r`` is ready iff ``channel.earliest_data_start(r,
+        now) <= now + window_ns``; this finds the ready requests per
+        bank instead of per request. With ``limit = now + window_ns``
+        (``window_ns >= 0``, so ``now <= limit``) and preparation time
+        ``prep`` (0 for an open-row hit), ``r`` is ready iff
+        ``bank.ready_at + prep <= limit`` and ``arrival_ns + prep <=
+        limit``: ``max`` commutes with the monotone float rounding of
+        ``+ prep``, so the test is exact. The arrival half holds for an
+        arrival-ordered prefix of the bank's bucket; past that prefix
+        only open-row hits can still qualify, and they are read from
+        the ``(bank, row)`` index.
+
+        The running minimum compares ``(priority[core], not hit,
+        req_id)``, component by component. ``ready_subset``'s callers
+        rank by ``(..., arrival_ns, req_id)``, but in this queue req_id
+        order *is* ``(arrival_ns, req_id)`` order (append order, see
+        the module docstring), and req_ids are unique, so the two keys
+        pick the same request. When nothing is ready the minimum runs
+        over the whole queue, as ``ready_subset``'s fallback does.
 
         Every bank with queued requests is materialised, exactly as
         the per-request scan does: ``ChannelState.refresh_if_due``
@@ -146,49 +168,84 @@ class ChannelQueue:
         limit = now + window_ns
         miss_prep = timing.t_rcd_ns
         conflict_prep = timing.t_rp_ns + timing.t_rcd_ns
-        ready: List[Request] = []
         banks = channel.banks
-        # lint: disable=LINT001 — bank order never reaches a scheduler
-        # decision: ready_subset's callers reduce the set with min() on
-        # the total (arrival_ns, req_id) key, and materialising a bank
-        # is order-free (refresh walks banks sorted). Each bucket is in
-        # arrival order because append order is (arrival_ns, req_id)
-        # order. Pinned by TestSaturatedEquivalence and the ready-set
-        # property test in tests/dram/test_queue.py.
+        rows = self._rows
+        best = None
+        best_p = math.inf
+        best_miss = True
+        best_id = math.inf
+        # lint: disable=LINT001 — bank order never reaches the result:
+        # the running minimum is over a total key (req_id is unique),
+        # and materialising a bank is order-free (refresh walks banks
+        # sorted). Each bucket is in arrival order because append order
+        # is (arrival_ns, req_id) order. Pinned by the fused-selection
+        # property test and TestSaturatedEquivalence in
+        # tests/dram/test_queue.py.
         for bank_index, bucket in self._banks.items():
             bank = banks.get(bank_index) or channel.bank(bank_index)
             open_row = bank.open_row
             ready_at = bank.ready_at
             prep = conflict_prep if open_row is not None else miss_prep
             if ready_at + prep <= limit:
-                # Every request passes the bank half: keep the
+                # Every request passes the bank half: walk the
                 # arrival-ordered prefix that passes the arrival half
                 # (hits have prep 0, so the prefix's hits pass too).
-                requests = bucket.values()
-                if next(reversed(requests)).arrival_ns + prep <= limit:
-                    ready.extend(requests)
-                    continue
-                # The last request fails, so this loop always breaks.
+                stop_id = math.inf
                 # lint: disable=LINT001 — arrival-ordered bucket: the
                 # prefix test relies on it (see the loop above).
-                for r in requests:
+                for r in bucket.values():
                     if r.arrival_ns + prep > limit:
                         stop_id = r.req_id
                         break
-                    ready.append(r)
-                if open_row is None:
+                    p = priority[r.core]
+                    if p > best_p:
+                        continue
+                    miss = r.row != open_row
+                    if (
+                        p < best_p
+                        or miss < best_miss
+                        or (miss == best_miss and r.req_id < best_id)
+                    ):
+                        best, best_p, best_miss, best_id = (
+                            r, p, miss, r.req_id
+                        )
+                if open_row is None or stop_id == math.inf:
                     continue
             elif open_row is None or ready_at > limit:
                 continue
             else:
                 stop_id = -1
             # Past the prefix only open-row hits (prep 0) can be ready.
-            hits = self._rows.get((bank_index, open_row))
-            if hits is not None:
-                # lint: disable=LINT001 — arrival-ordered row group;
-                # req_ids ascend with arrival, so ``>= stop_id`` skips
-                # exactly the hits the prefix already took.
-                for r in hits.values():
-                    if r.req_id >= stop_id and r.arrival_ns <= limit:
-                        ready.append(r)
-        return ready
+            hits = rows.get((bank_index, open_row))
+            if hits is None:
+                continue
+            # lint: disable=LINT001 — arrival-ordered row group; req_ids
+            # ascend with arrival, so ``>= stop_id`` skips exactly the
+            # hits the prefix already took.
+            for r in hits.values():
+                if r.req_id < stop_id:
+                    continue
+                if r.arrival_ns > limit:
+                    break
+                p = priority[r.core]
+                if p < best_p or (
+                    p == best_p and (best_miss or r.req_id < best_id)
+                ):
+                    best, best_p, best_miss, best_id = r, p, False, r.req_id
+        if best is not None:
+            return best
+        # Nothing is ready: every queued bank now exists.
+        # lint: disable=LINT001 — arrival order; the minimum is over a
+        # total key, so the order cannot change the result.
+        for r in self._all.values():
+            p = priority[r.core]
+            if p > best_p:
+                continue
+            miss = banks[r.bank].open_row != r.row
+            if (
+                p < best_p
+                or miss < best_miss
+                or (miss == best_miss and r.req_id < best_id)
+            ):
+                best, best_p, best_miss, best_id = r, p, miss, r.req_id
+        return best

@@ -50,8 +50,7 @@ class AtlasScheduler(Scheduler):
         head = self.head(queue)
         if now - head.arrival_ns > _OVER_THRESHOLD_NS:
             return head
-        pool = self.ready_subset(queue, channel, now)
-        return self.priority_hit_oldest(pool, channel, self.attained)
+        return self.priority_select(queue, channel, now, self.attained)
 
     def on_dispatch(self, request: Request, now: float) -> None:
         self._tick(now)

@@ -8,6 +8,10 @@ from repro.dram.bank import ChannelState
 from repro.dram.request import Request
 from repro.errors import SimulationError
 
+READY_WINDOW_NS = 3.0
+"""A request is *ready* if its data burst could start within this many
+nanoseconds of now (:meth:`Scheduler.ready_subset`)."""
+
 
 class Scheduler:
     """Chooses which queued request a channel dispatches next.
@@ -58,18 +62,11 @@ class Scheduler:
     def row_hits(
         requests: Sequence[Request], channel: ChannelState
     ) -> List[Request]:
-        """Requests that would hit their bank's open row.
+        """Requests that would hit their bank's open row (a scan).
 
-        A whole-queue container with a per-(bank, row) index (see
-        :class:`repro.dram.queue.ChannelQueue`) answers this by probing
-        each open row directly; filtered subsets fall back to the scan.
-        Either way the same hit set is produced.
+        ``channel.is_row_hit`` inlined; missing banks are materialised
+        just the same.
         """
-        indexed_hits = getattr(requests, "open_row_hits", None)
-        if indexed_hits is not None:
-            return indexed_hits(channel)
-        # channel.is_row_hit inlined: this scan runs on every ATLAS/TCM
-        # selection. Missing banks are materialised just the same.
         banks = channel.banks
         return [
             r
@@ -80,8 +77,18 @@ class Scheduler:
     def hit_first_oldest(
         self, requests: Sequence[Request], channel: ChannelState
     ) -> Request:
-        """Prefer row hits, then oldest — the FR-FCFS core rule."""
-        hits = self.row_hits(requests, channel)
+        """Prefer row hits, then oldest — the FR-FCFS core rule.
+
+        The oldest row hit is the head of some open ``(bank, row)``
+        group, so a :class:`repro.dram.queue.ChannelQueue` offers just
+        those heads (:meth:`ChannelQueue.open_row_hits`); plain
+        sequences offer every hit. The minimum is the same request.
+        """
+        indexed_hits = getattr(requests, "open_row_hits", None)
+        if indexed_hits is not None:
+            hits = indexed_hits(channel)
+        else:
+            hits = self.row_hits(requests, channel)
         return self.oldest(hits) if hits else self.head(requests)
 
     @staticmethod
@@ -120,7 +127,7 @@ class Scheduler:
         requests: Sequence[Request],
         channel: ChannelState,
         now: float,
-        window_ns: float = 3.0,
+        window_ns: float = READY_WINDOW_NS,
     ) -> List[Request]:
         """Requests whose data burst could start almost immediately.
 
@@ -131,21 +138,34 @@ class Scheduler:
         blocking is its defining flaw.
 
         The ready set is every request with ``channel.earliest_data_start
-        <= now + window_ns``. A whole-queue :class:`repro.dram.queue.
-        ChannelQueue` finds it with a per-bank test over its
-        arrival-ordered bank buckets (:meth:`ChannelQueue.ready`);
-        filtered subsets and plain lists fall back to the per-request
-        scan. Either way the same set is produced and the same banks are
-        materialised. The result's order is unspecified: callers reduce
-        it with keyed ``min``.
+        <= now + window_ns``, found by a per-request scan that
+        materialises every queued bank. The result's order is
+        unspecified: callers reduce it with keyed ``min``.
         """
-        indexed_ready = getattr(requests, "ready", None)
-        if indexed_ready is not None:
-            ready = indexed_ready(channel, now, window_ns)
-        else:
-            ready = [
-                r
-                for r in requests
-                if channel.earliest_data_start(r, now) <= now + window_ns
-            ]
+        ready = [
+            r
+            for r in requests
+            if channel.earliest_data_start(r, now) <= now + window_ns
+        ]
         return ready if ready else list(requests)
+
+    def priority_select(
+        self,
+        queue: Sequence[Request],
+        channel: ChannelState,
+        now: float,
+        priority: Sequence[float],
+    ) -> Request:
+        """The ATLAS/TCM rule: :meth:`priority_hit_oldest` over the
+        :meth:`ready_subset`.
+
+        A :class:`repro.dram.queue.ChannelQueue` answers in one fused
+        pass (:meth:`ChannelQueue.select_ready`); plain sequences run
+        the two-step scan, which the list-queue equivalence tests hold
+        the fused pass to.
+        """
+        fused = getattr(queue, "select_ready", None)
+        if fused is not None:
+            return fused(channel, now, READY_WINDOW_NS, priority)
+        pool = self.ready_subset(queue, channel, now)
+        return self.priority_hit_oldest(pool, channel, priority)

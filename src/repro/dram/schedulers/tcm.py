@@ -66,7 +66,6 @@ class TCMScheduler(Scheduler):
         self, queue: Sequence[Request], channel: ChannelState, now: float
     ) -> Request:
         self._tick(now)
-        pool = self.ready_subset(queue, channel, now)
         # The latency cluster ranks as -1, ahead of every bandwidth-
         # cluster core: those always hold a rank >= 0 (all cores start
         # in the latency cluster, and _reclassify ranks the rest 0..k-1).
@@ -75,7 +74,7 @@ class TCMScheduler(Scheduler):
             -1 if core in latency else rank
             for core, rank in enumerate(self.rank)
         ]
-        return self.priority_hit_oldest(pool, channel, priority)
+        return self.priority_select(queue, channel, now, priority)
 
     def on_dispatch(self, request: Request, now: float) -> None:
         self._tick(now)

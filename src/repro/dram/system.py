@@ -251,7 +251,12 @@ class CMPSystem:
         seq = itertools.count().__next__
         select = scheduler.select
         on_dispatch = scheduler.on_dispatch
-        decode = self.mapper.decode
+        mapper = self.mapper
+        line_bits = mapper.LINE_BITS
+        channel_mask = mapper.channel_mask
+        bank_shift = mapper.bank_shift
+        bank_bits = mapper.bank_bits
+        bank_mask = mapper.bank_mask
         record = metrics.record
         add_waiter = buffer_waiters.add
         pop_waiter = buffer_waiters.pop
@@ -281,25 +286,39 @@ class CMPSystem:
                     heappush(events, (state.next_gen_ns, seq(), _GEN, payload))
                     continue
                 trace = config.trace
-                burst = config.burst_lines
+                records = trace.records if trace is not None else None
+                base = state.address_base
+                period = config.write_period
                 mshr = config.mshr
-                issued_now = 0
+                inflight = state.inflight
+                first = i = state.issued
+                end = min(total, i + config.burst_lines)
+                # The loop runs at least once (i < total): it leaves the
+                # core unblocked unless it breaks.
+                state.blocked = False
                 touched = set()
-                while issued_now < burst and state.issued < total:
-                    if trace is not None:
-                        is_write = trace.records[state.issued].is_write
+                while i < end:
+                    # CoreState.next_access and AddressMapper.decode,
+                    # inlined: the i-th access of the stream, decoded
+                    # with the mapper's layout constants.
+                    if records is not None:
+                        access = records[i]
+                        address = access.address
+                        is_write = access.is_write
                     else:
-                        is_write = config.is_write_index(state.issued)
-                    if not is_write and state.inflight >= mshr:
+                        address = base + 64 * i
+                        is_write = period != 0 and i % period == period - 1
+                    if not is_write and inflight >= mshr:
                         state.blocked = True
                         break
                     if buffer_used >= buffer_cap:
                         state.blocked = True
                         add_waiter(state)
                         break
-                    state.blocked = False
-                    address, is_write = state.next_access()
-                    ch, bank, row, _ = decode(address)
+                    ch = (address >> line_bits) & channel_mask
+                    upper = address >> bank_shift
+                    row = upper >> bank_bits
+                    bank = (upper ^ row) & bank_mask
                     request = Request(
                         request_ids(), payload, ch, bank, row, now, is_write
                     )
@@ -319,11 +338,13 @@ class CMPSystem:
                             ),
                         )
                     buffer_used += 1
-                    state.issued += 1
+                    i += 1
                     if not is_write:
-                        state.inflight += 1
-                    issued_now += 1
+                        inflight += 1
                     touched.add(ch)
+                state.issued = i
+                state.inflight = inflight
+                issued_now = i - first
                 # Sorted so the wake order (and thus heap tie-break
                 # counters) never depends on set iteration order.
                 for ch in sorted(touched):

@@ -18,6 +18,7 @@ class TestCoreConfig:
             ("total_requests", 0),
             ("mshr", 0),
             ("burst_lines", 0),
+            ("address_base", -4096),
         ],
     )
     def test_invalid_rejected(self, field, value):

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram import system as dram_system
+from repro.dram import trace
+from repro.dram.address import AddressMapper
 from repro.dram.bank import ChannelState
 from repro.dram.cores import CoreConfig, CoreState, staggered_base
 from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
 from repro.dram.schedulers import atlas
-from repro.dram.schedulers.base import Scheduler
+from repro.dram.schedulers.base import READY_WINDOW_NS, Scheduler
+from repro.dram.schedulers.frfcfs import FRFCFSScheduler
 from repro.dram.system import BufferWaitQueue, CMPSystem
 from repro.dram.timing import DDR4_3200
 
@@ -62,11 +65,9 @@ class TestChannelQueue:
         assert not queue.by_core()
 
     def test_ready_materialises_exactly_the_queued_banks(self):
-        """Refresh only touches materialised banks, so ready() must
-        create bank state for every bank with queued requests — also
-        the ones with nothing ready — and for no other bank."""
-        from repro.dram.schedulers.base import Scheduler
-
+        """Refresh only touches materialised banks, so select_ready()
+        must create bank state for every bank with queued requests —
+        also the ones with nothing ready — and for no other bank."""
         queue = ChannelQueue()
         for i, bank in enumerate((5, 2, 5, 7)):
             queue.append(make_request(i, bank=bank, row=i, arrival=0.0))
@@ -76,11 +77,38 @@ class TestChannelQueue:
         for channel in (indexed, scanned):
             channel.bank(0).ready_at = 1e9  # an idle, unqueued bank
             channel.bank(7).ready_at = 1e9  # queued but never ready
-        fast = Scheduler.ready_subset(queue, indexed, 20.0)
-        slow = Scheduler.ready_subset(list(queue), scanned, 20.0)
-        assert {r.req_id for r in fast} == {r.req_id for r in slow}
-        assert {r.req_id for r in fast} == {0, 1, 2}
+        priority = [0.0]
+        chosen = queue.select_ready(indexed, 20.0, READY_WINDOW_NS, priority)
+        pool = Scheduler.ready_subset(list(queue), scanned, 20.0)
+        assert {r.req_id for r in pool} == {0, 1, 2}
+        assert chosen is Scheduler.priority_hit_oldest(
+            pool, scanned, priority
+        )
         assert sorted(indexed.banks) == sorted(scanned.banks) == [0, 2, 5, 7]
+
+    def test_select_ready_falls_back_to_whole_queue(self):
+        """Nothing ready: the best request of the whole queue, with
+        every queued bank materialised."""
+        queue = ChannelQueue()
+        for i, (bank, core) in enumerate(((3, 1), (1, 0), (3, 0), (1, 1))):
+            queue.append(make_request(i, bank=bank, row=i % 2, core=core))
+        indexed, scanned = (
+            ChannelState(index=0, timing=DDR4_3200) for _ in range(2)
+        )
+        for channel in (indexed, scanned):
+            channel.bank(3).open_row = 0
+            channel.bank(3).ready_at = 1e9
+        priority = [0.0, 1.0]
+        pool = Scheduler.ready_subset(list(queue), scanned, 0.0)
+        assert [r.req_id for r in pool] == [0, 1, 2, 3]  # the fallback
+        chosen = queue.select_ready(indexed, 0.0, READY_WINDOW_NS, priority)
+        # Core 0 ranks first; its request 2 hits bank 3's open row and
+        # beats its older miss, request 1.
+        assert chosen.req_id == 2
+        assert chosen is Scheduler.priority_hit_oldest(
+            pool, scanned, priority
+        )
+        assert sorted(indexed.banks) == sorted(scanned.banks) == [1, 3]
 
     def test_remove_is_membership_exact(self):
         queue = ChannelQueue()
@@ -97,6 +125,8 @@ class TestChannelQueue:
         assert len(queue) == 0 and not queue
 
     def test_open_row_hits_matches_scan(self):
+        """One head per open (bank, row) group: each group's oldest of
+        the hits a full scan finds."""
         queue = ChannelQueue()
         channel = ChannelState(index=0, timing=DDR4_3200)
         requests = [
@@ -107,29 +137,41 @@ class TestChannelQueue:
             queue.append(r)
         channel.bank(0).open_row = 0
         channel.bank(1).open_row = 1
-        expected = {r.req_id for r in requests if channel.is_row_hit(r)}
-        assert expected  # non-degenerate fixture
-        assert {r.req_id for r in queue.open_row_hits(channel)} == expected
-        # removal keeps the index exact
-        victim = next(r for r in requests if r.req_id in expected)
-        queue.remove(victim)
+
+        def scan_heads():
+            hits = [r for r in queue if channel.is_row_hit(r)]
+            return {
+                min(r.req_id for r in hits if r.bank == bank)
+                for bank in {r.bank for r in hits}
+            }
+
+        assert sorted(channel.banks) == [0, 1]
+        assert {r.req_id for r in queue.open_row_hits(channel)} == {0, 1}
+        # Like the scan, the probe materialises every queued bank: the
+        # set of banks a refresh touches.
+        assert sorted(channel.banks) == [0, 1, 2]
+        assert scan_heads() == {0, 1}
+        # removing a head promotes the next hit of its row
+        queue.remove(requests[0])
         assert {r.req_id for r in queue.open_row_hits(channel)} == (
-            expected - {victim.req_id}
-        )
+            scan_heads()
+        ) == {6, 1}
 
     def test_scheduler_row_hits_uses_index(self):
-        from repro.dram.schedulers.base import Scheduler
-
         queue = ChannelQueue()
         channel = ChannelState(index=0, timing=DDR4_3200)
         for i in range(6):
             queue.append(make_request(i, bank=0, row=i % 2))
         channel.bank(0).open_row = 1
+        assert [r.req_id for r in queue.open_row_hits(channel)] == [1]
+        # row_hits is the scan: every hit, from any sequence
         hits = Scheduler.row_hits(queue, channel)
         assert sorted(r.req_id for r in hits) == [1, 3, 5]
-        # plain sequences still take the scan path with the same answer
-        scan = Scheduler.row_hits(list(queue), channel)
-        assert sorted(r.req_id for r in scan) == [1, 3, 5]
+        # FR-FCFS reads the index's heads; a list takes the scan path
+        scheduler = FRFCFSScheduler(n_cores=1)
+        chosen = scheduler.hit_first_oldest(queue, channel)
+        assert chosen.req_id == 1
+        assert chosen is scheduler.hit_first_oldest(list(queue), channel)
 
 
 class TestBufferWaitQueue:
@@ -210,6 +252,84 @@ class TestFastQueueEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Inline access generation: the event loop against the reference stream
+# ----------------------------------------------------------------------
+def enqueued_requests(cores, policy="frfcfs"):
+    """Every request the event loop enqueues, in enqueue order."""
+    appended = []
+
+    class RecordingQueue(ChannelQueue):
+        def append(self, request):
+            appended.append(request)
+            super().append(request)
+
+    CMPSystem(policy=policy, queue_factory=RecordingQueue).run(cores)
+    return appended
+
+
+class TestInlineDecode:
+    @pytest.mark.parametrize("write_fraction", (0.0, 0.25, 0.5))
+    def test_synthetic_stream_matches_reference(self, write_fraction):
+        cores = [
+            CoreConfig(
+                demand_gbps=4.0 + 6.0 * i,
+                total_requests=300,
+                mshr=8,
+                write_fraction=write_fraction,
+                address_base=None if i == 0 else 0x1234_5000 * i,
+            )
+            for i in range(4)
+        ]
+        self._assert_matches_reference(cores)
+
+    def test_trace_cores_match_reference(self):
+        cores = [
+            trace.trace_core_config(
+                trace.random_trace("r", 300, 9.0, seed=5)
+            ),
+            trace.trace_core_config(
+                trace.streaming_trace("s", 300, 14.0, write_fraction=0.25)
+            ),
+            trace.trace_core_config(
+                trace.strided_trace("t", 300, 6.0, stride_lines=32)
+            ),
+            CoreConfig(demand_gbps=8.0, total_requests=300,
+                       write_fraction=0.5),
+        ]
+        self._assert_matches_reference(cores)
+
+    @staticmethod
+    def _assert_matches_reference(cores):
+        """Request by request: the loop's (channel, bank, row, write)
+        equal AddressMapper.decode of CoreState.next_access, and the
+        write flag the config's rule (or the trace record)."""
+        mapper = AddressMapper(DDR4_3200)
+        references = [
+            CoreState(index=i, config=c) for i, c in enumerate(cores)
+        ]
+        requests = enqueued_requests(cores)
+        assert len(requests) == sum(c.total_requests for c in cores)
+        for request in requests:
+            reference = references[request.core]
+            config = reference.config
+            if config.trace is not None:
+                record = config.trace.records[reference.issued]
+                expected_write = record.is_write
+            else:
+                expected_write = config.is_write_index(reference.issued)
+            address, is_write = reference.next_access()
+            reference.issued += 1
+            channel, bank, row, _ = mapper.decode(address)
+            assert (request.channel, request.bank, request.row) == (
+                channel, bank, row
+            )
+            assert request.is_write is is_write is expected_write
+        writes = [r for r in requests if r.is_write]
+        if any(c.write_fraction for c in cores):
+            assert writes  # non-degenerate fixture
+
+
+# ----------------------------------------------------------------------
 # Ready-set property: the per-bank test equals the per-request scan
 # ----------------------------------------------------------------------
 N_BANKS = 4
@@ -246,6 +366,11 @@ def _channel_with(banks, limit):
     return channel
 
 
+_priority = st.lists(
+    st.sampled_from((-1, 0, 1.0, 2.5)), min_size=4, max_size=4
+)
+
+
 class TestReadyProperty:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -254,8 +379,14 @@ class TestReadyProperty:
         banks=st.lists(_bank_state, min_size=N_BANKS, max_size=N_BANKS),
         specs=st.lists(_request, max_size=30),
         removed=st.sets(st.integers(0, 29)),
+        priority=_priority,
     )
-    def test_ready_set_matches_scan(self, now, window, banks, specs, removed):
+    def test_ready_set_matches_scan(
+        self, now, window, banks, specs, removed, priority
+    ):
+        """The fused select_ready pass picks the request of
+        priority_hit_oldest over the scanned ready_subset, and
+        materialises the same banks."""
         limit = now + window
         # Oldest first, as the event loop appends; ties keep req_id order.
         specs = sorted(specs, key=lambda s: s[3])
@@ -269,25 +400,16 @@ class TestReadyProperty:
                 queue.remove(r)
         reference = list(queue)
 
-        indexed = _channel_with(banks, limit)
-        scanned = _channel_with(banks, limit)
-        ready = queue.ready(indexed, now, window)
-        expected = [
-            r
-            for r in reference
-            if scanned.earliest_data_start(r, now) <= now + window
-        ]
-        assert sorted(r.req_id for r in ready) == [
-            r.req_id for r in expected
-        ]
-        # Same banks materialised as the scan: the set refresh touches.
-        assert sorted(indexed.banks) == sorted(scanned.banks)
-
-        subset = Scheduler.ready_subset(queue, indexed, now, window)
-        scan_subset = Scheduler.ready_subset(reference, scanned, now, window)
-        assert {r.req_id for r in subset} == {
-            r.req_id for r in scan_subset
-        }
+        if reference:
+            indexed = _channel_with(banks, limit)
+            scanned = _channel_with(banks, limit)
+            chosen = queue.select_ready(indexed, now, window, priority)
+            pool = Scheduler.ready_subset(reference, scanned, now, window)
+            assert chosen is Scheduler.priority_hit_oldest(
+                pool, scanned, priority
+            )
+            # Same banks materialised as the scan: the set refresh touches.
+            assert sorted(indexed.banks) == sorted(scanned.banks)
 
         # Iteration is arrival order; the head is the scan's oldest.
         assert reference == sorted(

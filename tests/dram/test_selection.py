@@ -1,10 +1,15 @@
-"""ATLAS/TCM single-pass selection against the staged rule.
+"""ATLAS/TCM/FR-FCFS single-pass selection against the staged rule.
 
-Both policies pick the lexicographic minimum of one key over the ready
-pool (:meth:`Scheduler.priority_hit_oldest`). The reference below is
-the rule as the paper's Table 2 states it, stage by stage: keep the
-least-attained core (ATLAS) or the latency cluster, else the best rank
-(TCM); among those prefer row hits; among those the oldest.
+ATLAS and TCM pick the lexicographic minimum of one key over the ready
+pool: on a :class:`ChannelQueue` in one fused pass
+(:meth:`ChannelQueue.select_ready`), on a list with
+:meth:`Scheduler.priority_hit_oldest` over the scanned
+:meth:`Scheduler.ready_subset`. The reference below is the rule as the
+paper's Table 2 states it, stage by stage: keep the least-attained core
+(ATLAS) or the latency cluster, else the best rank (TCM); among those
+prefer row hits; among those the oldest. FR-FCFS reads only the head of
+each open row's group on a ``ChannelQueue``; the reference is the
+oldest of every hit.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +18,7 @@ from repro.dram.bank import ChannelState
 from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.atlas import AtlasScheduler
+from repro.dram.schedulers.frfcfs import FRFCFSScheduler
 from repro.dram.schedulers.tcm import TCMScheduler
 from repro.dram.timing import DDR4_3200
 
@@ -147,3 +153,16 @@ class TestSinglePassSelection:
         pool = scheduler.ready_subset(queue, channel, NOW)
         chosen = scheduler.select(queue, channel, NOW)
         assert chosen is staged_tcm(pool, channel, latency, rank)
+
+
+class TestRowHeadSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(**_scenario)
+    def test_frfcfs_matches_full_scan(self, specs, banks, hits, indexed):
+        channel, queue = build(specs, banks, hits, indexed)
+        chosen = FRFCFSScheduler(n_cores=N_CORES).select(queue, channel, NOW)
+        requests = list(queue)
+        row_hits = [
+            r for r in requests if channel.banks[r.bank].open_row == r.row
+        ]
+        assert chosen is oldest(row_hits or requests)

@@ -65,7 +65,7 @@ def test_traced_runs_are_bit_identical(scenario):
 def test_scenarios_are_nontrivial(monkeypatch):
     import json
 
-    from repro.dram.schedulers.base import Scheduler
+    from repro.dram.queue import ChannelQueue
     from repro.dram.timing import DDR4_3200
     from repro.lint import determinism
     from repro.lint.determinism import run_scenario as run_inline
@@ -77,17 +77,15 @@ def test_scenarios_are_nontrivial(monkeypatch):
     # The dram scenario must saturate the controller so that selection
     # goes through the queue's ready index, not just its head.
     ready_calls = []
-    ready_subset = Scheduler.ready_subset
+    select_ready = ChannelQueue.select_ready
 
-    def counting_ready_subset(*args, **kwargs):
+    def counting_select_ready(*args, **kwargs):
         ready_calls.append(1)
-        return ready_subset(*args, **kwargs)
+        return select_ready(*args, **kwargs)
 
-    monkeypatch.setattr(
-        Scheduler, "ready_subset", staticmethod(counting_ready_subset)
-    )
+    monkeypatch.setattr(ChannelQueue, "select_ready", counting_select_ready)
     dram = json.loads(run_inline("dram"))
-    assert ready_calls, "dram scenario never selected through ready_subset"
+    assert ready_calls, "dram scenario never selected through select_ready"
     assert determinism.DRAM_DEMAND_GBPS > DDR4_3200.peak_bw_gbps
     assert sorted(dram["results"]) == sorted(determinism.DRAM_POLICIES)
     for result in dram["results"].values():
