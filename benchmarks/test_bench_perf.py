@@ -17,6 +17,7 @@ import os
 import time
 
 from repro.dram.cores import CoreConfig, staggered_base
+from repro.dram.queue import ScanQueue
 from repro.dram.system import CMPSystem
 from repro.dram.timing import DDR4_3200
 from repro.experiments import common
@@ -86,9 +87,9 @@ def test_bench_perf_fast_path(save_report, tmp_path):
     for result in (pool_result, cache_cold_result, cache_warm_result):
         assert result == seed_result  # every layer is bit-identical
 
-    # 4. DRAM inner loop: indexed ChannelQueue vs the seed's list queue.
+    # 4. DRAM inner loop: indexed ChannelQueue vs the ScanQueue oracle.
     t0 = time.perf_counter()
-    dram_slow = CMPSystem(policy="frfcfs", queue_factory=list).run(
+    dram_slow = CMPSystem(policy="frfcfs", queue_factory=ScanQueue).run(
         _dram_cores()
     )
     dram_slow_s = time.perf_counter() - t0
@@ -113,8 +114,8 @@ def test_bench_perf_fast_path(save_report, tmp_path):
         f"--sim-cache warm re-run:               {cache_warm_s:8.2f} s"
         f"  ({cache_speedup:.2f}x vs pool)",
         "",
-        "dram frfcfs 16-core contended run (list queue vs indexed):",
-        f"list queue (seed):                     {dram_slow_s:8.2f} s",
+        "dram frfcfs 16-core contended run (scan vs indexed):",
+        f"ScanQueue (scan oracle):               {dram_slow_s:8.2f} s",
         f"ChannelQueue:                          {dram_fast_s:8.2f} s"
         f"  ({dram_slow_s / dram_fast_s:.2f}x)",
         "",

@@ -9,12 +9,16 @@ from repro.dram.request import Request
 from repro.dram.timing import DramTiming
 
 
-@dataclass
 class BankState:
-    """Open-row and readiness state of one bank."""
+    """Open-row and readiness state of one bank (slotted)."""
 
-    open_row: Optional[int] = None
-    ready_at: float = 0.0
+    __slots__ = ("open_row", "ready_at")
+
+    def __init__(
+        self, open_row: Optional[int] = None, ready_at: float = 0.0
+    ) -> None:
+        self.open_row = open_row
+        self.ready_at = ready_at
 
     def prep_time(self, row: int, timing: DramTiming) -> Tuple[float, bool]:
         """(preparation latency in ns, row hit?) for accessing ``row``."""
@@ -85,9 +89,15 @@ class ChannelState:
         row = request.row
         bank = self.banks.get(request.bank) or self.bank(request.bank)
         timing = self.timing
-        prep, hit = bank.prep_time(row, timing)
-        # earliest_data_start with the bank and prep already in hand;
-        # the same float expression, so the same timeline.
+        # BankState.prep_time and earliest_data_start inlined: the same
+        # float expressions, so the same timeline.
+        open_row = bank.open_row
+        if open_row == row:
+            prep, hit = 0.0, True
+        elif open_row is None:
+            prep, hit = timing.t_rcd_ns, False
+        else:
+            prep, hit = timing.t_rp_ns + timing.t_rcd_ns, False
         burst_end = (
             max(now, max(bank.ready_at, request.arrival_ns) + prep)
             + timing.t_burst_ns

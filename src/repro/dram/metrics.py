@@ -3,33 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.errors import AnalysisError
 
 
 @dataclass
 class DramMetrics:
-    """Counters accumulated while a simulation runs."""
+    """Counters of a simulation run.
+
+    ``CMPSystem.run`` counts in loop locals and fills these once, at
+    the end of the run. ``sum_queue_latency_ns`` is the ``+=`` sum of
+    the latencies in dispatch order (not ``math.fsum`` or 3.12's
+    compensated ``sum``), so ``mean_latency_ns`` is the same float on
+    every Python version.
+    """
 
     row_hits: int = 0
-    row_misses: int = 0
-    bytes_served: int = 0
-    per_core_bytes: Dict[int, int] = field(default_factory=dict)
     sum_queue_latency_ns: float = 0.0
-    dispatches: int = 0
     latencies_ns: List[float] = field(default_factory=list)
-
-    def record(self, core: int, row_hit: bool, latency_ns: float) -> None:
-        if row_hit:
-            self.row_hits += 1
-        else:
-            self.row_misses += 1
-        self.bytes_served += 64
-        self.per_core_bytes[core] = self.per_core_bytes.get(core, 0) + 64
-        self.sum_queue_latency_ns += latency_ns
-        self.dispatches += 1
-        self.latencies_ns.append(latency_ns)
+    """One latency per served (64-byte) request, in dispatch order."""
 
     def latency_percentile(self, q: float) -> float:
         """The q-th latency percentile in ns (q in [0, 100])."""
@@ -45,21 +38,19 @@ class DramMetrics:
 
     @property
     def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
+        total = len(self.latencies_ns)
         return self.row_hits / total if total else 0.0
 
     @property
     def mean_latency_ns(self) -> float:
-        return (
-            self.sum_queue_latency_ns / self.dispatches
-            if self.dispatches
-            else 0.0
-        )
+        total = len(self.latencies_ns)
+        return self.sum_queue_latency_ns / total if total else 0.0
 
     def effective_bw_gbps(self, elapsed_ns: float) -> float:
         if elapsed_ns <= 0:
             return 0.0
-        return self.bytes_served / elapsed_ns  # bytes per ns == GB/s
+        # bytes per ns == GB/s
+        return 64 * len(self.latencies_ns) / elapsed_ns
 
 
 def unfairness_index(slowdowns: Iterable[float]) -> float:

@@ -1,25 +1,31 @@
-"""Arrival-ordered channel request queue with per-bank, per-core and
-per-(bank, row) indexes.
+"""Channel request queues: one container per scheduling policy, plus
+the list-scan oracle they are tested against.
 
 The event loop's hot operations on a channel queue are: append on
-arrival, remove-by-identity on dispatch, and the schedulers' selection
+arrival, remove-by-identity on dispatch, and the scheduler's selection
 questions — "which request is oldest?", "which hit an open row?",
 "which could start their data burst almost immediately?", "what is
-each core's oldest request?". A plain list answers every one of them
-with a scan of the whole queue. :class:`ChannelQueue` keeps the
-requests in insertion-ordered ``{req_id: request}`` dicts:
+each core's oldest request?". Each policy asks only some of them, so
+each names the container that indexes just what its ``select`` reads
+(``Scheduler.queue_type``):
 
-- one for the whole queue;
-- one per bank, one per core and one per ``(bank, row)``.
+- :class:`ArrivalQueue` (FCFS): the whole queue in arrival order;
+- :class:`CoreQueue` (SMS): plus one bucket per core;
+- :class:`ChannelQueue` (FR-FCFS, ATLAS, TCM): plus one bucket per
+  bank and one per ``(bank, row)``.
 
-Removal is O(1) and every index stays in arrival order, because the
+Every index is an insertion-ordered ``{req_id: request}`` dict, so
+removal is O(1) and every index stays in arrival order, because the
 event loop appends each request the moment it arrives: its ``now``
 never decreases and req_ids are issued in sequence, so append order is
 the ``(arrival_ns, req_id)`` order that every scheduler ranks by.
 Selections then read the head of an index or an arrival-ordered prefix
-of a bucket instead of scanning. Equivalence tests run the simulator
-with plain-list queues (the scan path) and assert bit-identical
-``SimResult``s (``tests/dram/test_queue.py``).
+of a bucket instead of scanning.
+
+:class:`ScanQueue` answers the same questions by scanning a plain
+list, as the rules are written. Equivalence tests run the simulator
+with it and assert bit-identical ``SimResult``s
+(``tests/dram/test_queue.py``).
 """
 
 from __future__ import annotations
@@ -33,16 +39,18 @@ from repro.dram.request import Request
 _Bucket = Dict[int, Request]
 
 
-class ChannelQueue:
-    """Arrival-ordered request container used as one channel's queue."""
+def arrival_key(request: Request) -> Tuple[float, int]:
+    """The FCFS order: earliest arrival, then lowest id."""
+    return request.arrival_ns, request.req_id
 
-    __slots__ = ("_all", "_banks", "_cores", "_rows")
+
+class ArrivalQueue:
+    """Arrival-ordered request container: the FCFS queue."""
+
+    __slots__ = ("_all",)
 
     def __init__(self) -> None:
         self._all: _Bucket = {}
-        self._banks: Dict[int, _Bucket] = {}
-        self._cores: Dict[int, _Bucket] = {}
-        self._rows: Dict[Tuple[int, int], _Bucket] = {}
 
     def __len__(self) -> int:
         return len(self._all)
@@ -53,17 +61,70 @@ class ChannelQueue:
 
     def append(self, request: Request) -> None:
         """Enqueue a request that arrived no earlier than any queued one."""
+        self._all[request.req_id] = request
+
+    def remove(self, request: Request) -> None:
+        """O(1) removal; raises ``KeyError`` if the request is absent."""
+        del self._all[request.req_id]
+
+    def oldest(self) -> Request:
+        """The head: earliest arrival, then lowest id."""
+        return next(iter(self._all.values()))
+
+
+class CoreQueue(ArrivalQueue):
+    """Arrival order plus one bucket per core: the SMS queue."""
+
+    __slots__ = ("_cores",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._cores: Dict[int, _Bucket] = {}
+
+    def append(self, request: Request) -> None:
+        rid = request.req_id
+        self._all[rid] = request
+        group = self._cores.get(request.core)
+        if group is None:
+            self._cores[request.core] = {rid: request}
+        else:
+            group[rid] = request
+
+    def remove(self, request: Request) -> None:
+        rid = request.req_id
+        del self._all[rid]
+        group = self._cores[request.core]
+        del group[rid]
+        if not group:
+            del self._cores[request.core]
+
+    def by_core(self) -> Mapping[int, Mapping[int, Request]]:
+        """Each core's queued requests, arrival-ordered, keyed by req_id.
+
+        A live read-only view: only cores with queued requests appear.
+        """
+        return self._cores
+
+
+class ChannelQueue(ArrivalQueue):
+    """Arrival order plus per-bank and per-``(bank, row)`` buckets: the
+    queue of the row-aware policies (FR-FCFS, ATLAS, TCM)."""
+
+    __slots__ = ("_banks", "_rows")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._banks: Dict[int, _Bucket] = {}
+        self._rows: Dict[Tuple[int, int], _Bucket] = {}
+
+    def append(self, request: Request) -> None:
+        """Enqueue a request that arrived no earlier than any queued one."""
         rid = request.req_id
         self._all[rid] = request
         bank = request.bank
         group = self._banks.get(bank)
         if group is None:
             self._banks[bank] = {rid: request}
-        else:
-            group[rid] = request
-        group = self._cores.get(request.core)
-        if group is None:
-            self._cores[request.core] = {rid: request}
         else:
             group[rid] = request
         key = (bank, request.row)
@@ -82,26 +143,11 @@ class ChannelQueue:
         del group[rid]
         if not group:
             del self._banks[bank]
-        group = self._cores[request.core]
-        del group[rid]
-        if not group:
-            del self._cores[request.core]
         key = (bank, request.row)
         group = self._rows[key]
         del group[rid]
         if not group:
             del self._rows[key]
-
-    def oldest(self) -> Request:
-        """The head: earliest arrival, then lowest id."""
-        return next(iter(self._all.values()))
-
-    def by_core(self) -> Mapping[int, Mapping[int, Request]]:
-        """Each core's queued requests, arrival-ordered, keyed by req_id.
-
-        A live read-only view: only cores with queued requests appear.
-        """
-        return self._cores
 
     def open_row_hits(self, channel: ChannelState) -> List[Request]:
         """The oldest queued request of each open row.
@@ -116,8 +162,8 @@ class ChannelQueue:
         banks = channel.banks
         rows = self._rows
         # lint: disable=LINT001 — probe order never reaches a scheduler
-        # decision: hit_first_oldest reduces the heads with min() on the
-        # total (arrival_ns, req_id) key, and materialising a bank is
+        # decision: FR-FCFS reduces the heads with min() on the total
+        # (arrival_ns, req_id) key, and materialising a bank is
         # order-free (refresh walks banks sorted). Each row group is in
         # arrival order, so its first value is its oldest request.
         for bank_index in self._banks:
@@ -136,9 +182,8 @@ class ChannelQueue:
     ) -> Request:
         """The best ready request by ``(priority[core], not hit, age)``.
 
-        :meth:`repro.dram.schedulers.base.Scheduler.ready_subset`
-        followed by ``priority_hit_oldest`` in one pass, without the
-        pool list or key tuples. The queue must be non-empty.
+        :meth:`ScanQueue.select_ready` in one pass, without the pool
+        list or key tuples. The queue must be non-empty.
 
         A request ``r`` is ready iff ``channel.earliest_data_start(r,
         now) <= now + window_ns``; this finds the ready requests per
@@ -153,12 +198,12 @@ class ChannelQueue:
         the ``(bank, row)`` index.
 
         The running minimum compares ``(priority[core], not hit,
-        req_id)``, component by component. ``ready_subset``'s callers
-        rank by ``(..., arrival_ns, req_id)``, but in this queue req_id
-        order *is* ``(arrival_ns, req_id)`` order (append order, see
-        the module docstring), and req_ids are unique, so the two keys
-        pick the same request. When nothing is ready the minimum runs
-        over the whole queue, as ``ready_subset``'s fallback does.
+        req_id)``, component by component. The scan ranks by ``(...,
+        arrival_ns, req_id)``, but in this queue req_id order *is*
+        ``(arrival_ns, req_id)`` order (append order, see the module
+        docstring), and req_ids are unique, so the two keys pick the
+        same request. When nothing is ready the minimum runs over the
+        whole queue, as the scan's fallback does.
 
         Every bank with queued requests is materialised, exactly as
         the per-request scan does: ``ChannelState.refresh_if_due``
@@ -249,3 +294,81 @@ class ChannelQueue:
             ):
                 best, best_p, best_miss, best_id = r, p, miss, r.req_id
         return best
+
+
+class ScanQueue(list):
+    """A plain list answering every policy's questions by scanning.
+
+    The reference the indexed queues are held to: each method applies
+    its rule to every queued request, in any order, and materialises
+    every queued bank it inspects. It keeps no index, so it relies on
+    neither append order nor req_id order.
+    """
+
+    def oldest(self) -> Request:
+        """The earliest arrival, then the lowest id."""
+        return min(self, key=arrival_key)
+
+    def open_row_hits(self, channel: ChannelState) -> List[Request]:
+        """Every queued request that would hit its bank's open row.
+
+        ``channel.is_row_hit`` inlined; missing banks are materialised
+        just the same.
+        """
+        banks = channel.banks
+        return [
+            r
+            for r in self
+            if (banks.get(r.bank) or channel.bank(r.bank)).open_row == r.row
+        ]
+
+    def ready_subset(
+        self, channel: ChannelState, now: float, window_ns: float
+    ) -> List[Request]:
+        """Requests whose data burst could start almost immediately.
+
+        Every request with ``channel.earliest_data_start <= now +
+        window_ns``, found by a per-request scan that materialises
+        every queued bank; the whole queue when none is. The result's
+        order is unspecified: callers reduce it with a keyed minimum.
+        """
+        ready = [
+            r
+            for r in self
+            if channel.earliest_data_start(r, now) <= now + window_ns
+        ]
+        return ready if ready else list(self)
+
+    def select_ready(
+        self,
+        channel: ChannelState,
+        now: float,
+        window_ns: float,
+        priority: Sequence[float],
+    ) -> Request:
+        """The ATLAS/TCM rule over the :meth:`ready_subset`.
+
+        The minimum of ``(priority[core], not row hit, arrival_ns,
+        req_id)``: the same request as filtering the pool to its best
+        priority, then to its row hits if any, then taking the oldest.
+        ``req_id`` is unique, so the minimum is too.
+        """
+        pool = self.ready_subset(channel, now, window_ns)
+        banks = channel.banks  # ready_subset materialised every bank
+        return min(
+            pool,
+            key=lambda r: (
+                priority[r.core],
+                banks[r.bank].open_row != r.row,
+                r.arrival_ns,
+                r.req_id,
+            ),
+        )
+
+    def by_core(self) -> Mapping[int, Mapping[int, Request]]:
+        """Each core's queued requests, keyed by req_id, grouped after
+        a sort by :func:`arrival_key`."""
+        groups: Dict[int, Dict[int, Request]] = {}
+        for r in sorted(self, key=arrival_key):
+            groups.setdefault(r.core, {})[r.req_id] = r
+        return groups

@@ -13,11 +13,10 @@ scaled down to the microsecond runs this simulator executes.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.dram.bank import ChannelState
+from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
-from repro.dram.schedulers.base import Scheduler
+from repro.dram.schedulers.base import READY_WINDOW_NS, Scheduler
 
 _QUANTUM_NS = 10_000.0
 _DECAY = 0.875
@@ -29,6 +28,7 @@ class AtlasScheduler(Scheduler):
     """Least-attained-service fairness scheduling."""
 
     name = "atlas"
+    queue_type = ChannelQueue
 
     def __init__(self, n_cores: int, seed: int = 0):
         super().__init__(n_cores, seed)
@@ -41,17 +41,21 @@ class AtlasScheduler(Scheduler):
             self._next_quantum += _QUANTUM_NS
 
     def select(
-        self, queue: Sequence[Request], channel: ChannelState, now: float
+        self, queue: ChannelQueue, channel: ChannelState, now: float
     ) -> Request:
-        self._tick(now)
+        if now >= self._next_quantum:
+            self._tick(now)
         # Waiting time falls with arrival, so some request is over the
         # threshold iff the oldest one is, and then it is the oldest
         # over-threshold request.
-        head = self.head(queue)
+        head = queue.oldest()
         if now - head.arrival_ns > _OVER_THRESHOLD_NS:
             return head
-        return self.priority_select(queue, channel, now, self.attained)
+        return queue.select_ready(
+            channel, now, READY_WINDOW_NS, self.attained
+        )
 
     def on_dispatch(self, request: Request, now: float) -> None:
-        self._tick(now)
+        if now >= self._next_quantum:
+            self._tick(now)
         self.attained[request.core] += _SERVICE_PER_REQUEST

@@ -7,9 +7,8 @@ the proportional slowdown curves of Fig. 5(a).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.dram.bank import ChannelState
+from repro.dram.queue import ArrivalQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import Scheduler
 
@@ -18,8 +17,9 @@ class FCFSScheduler(Scheduler):
     """Strictly chronological dispatch."""
 
     name = "fcfs"
+    queue_type = ArrivalQueue
 
     def select(
-        self, queue: Sequence[Request], channel: ChannelState, now: float
+        self, queue: ArrivalQueue, channel: ChannelState, now: float
     ) -> Request:
-        return self.head(queue)
+        return queue.oldest()

@@ -6,9 +6,8 @@ control — memory-intensive streams starve lighter ones (Fig. 5(b)).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.dram.bank import ChannelState
+from repro.dram.queue import ChannelQueue, arrival_key
 from repro.dram.request import Request
 from repro.dram.schedulers.base import Scheduler
 
@@ -17,8 +16,13 @@ class FRFCFSScheduler(Scheduler):
     """Row-hit-first dispatch."""
 
     name = "frfcfs"
+    queue_type = ChannelQueue
 
     def select(
-        self, queue: Sequence[Request], channel: ChannelState, now: float
+        self, queue: ChannelQueue, channel: ChannelState, now: float
     ) -> Request:
-        return self.hit_first_oldest(queue, channel)
+        # The oldest row hit is the oldest of any superset of the open
+        # rows' heads: ChannelQueue offers just the heads, ScanQueue
+        # every hit.
+        hits = queue.open_row_hits(channel)
+        return min(hits, key=arrival_key) if hits else queue.oldest()

@@ -13,9 +13,10 @@ sources (Ausavarungnirun et al., ISCA 2012).
 from __future__ import annotations
 
 import random
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Optional
 
 from repro.dram.bank import ChannelState
+from repro.dram.queue import CoreQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import Scheduler
 
@@ -26,6 +27,7 @@ class SMSScheduler(Scheduler):
     """Batched fairness scheduling."""
 
     name = "sms"
+    queue_type = CoreQueue
 
     def __init__(self, n_cores: int, seed: int = 0):
         super().__init__(n_cores, seed)
@@ -34,36 +36,19 @@ class SMSScheduler(Scheduler):
         self._active_row: Optional[int] = None
         self._rr_pointer = 0
 
-    @staticmethod
-    def _by_core(
-        queue: Sequence[Request],
-    ) -> Mapping[int, Mapping[int, Request]]:
-        """Each core's queued requests in arrival order, keyed by req_id.
-
-        A :class:`repro.dram.queue.ChannelQueue` keeps this index;
-        plain sequences are grouped after an arrival sort.
-        """
-        indexed = getattr(queue, "by_core", None)
-        if indexed is not None:
-            return indexed()
-        by_core: Dict[int, Dict[int, Request]] = {}
-        for r in sorted(queue, key=lambda r: (r.arrival_ns, r.req_id)):
-            by_core.setdefault(r.core, {})[r.req_id] = r
-        return by_core
-
     def select(
-        self, queue: Sequence[Request], channel: ChannelState, now: float
+        self, queue: CoreQueue, channel: ChannelState, now: float
     ) -> Request:
-        by_core = self._by_core(queue)
+        by_core = queue.by_core()
 
         # Stick with the active batch while it still has requests queued.
         active = by_core.get(self._active_core)
         if active is not None:
             # lint: disable=LINT001 — each core's bucket is in
-            # (arrival_ns, req_id) order (ChannelQueue appends in
-            # arrival order; the list path sorts), so the first match
-            # is the oldest. Pinned by the list-queue equivalence tests
-            # in tests/dram/test_queue.py.
+            # (arrival_ns, req_id) order (CoreQueue appends in arrival
+            # order; ScanQueue sorts), so the first match is the
+            # oldest. Pinned by the ScanQueue equivalence tests in
+            # tests/dram/test_queue.py.
             for r in active.values():
                 if r.row == self._active_row:
                     return r

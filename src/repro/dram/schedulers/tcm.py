@@ -15,11 +15,12 @@ the rest form the bandwidth cluster whose ranks rotate every quantum
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import List, Set
 
 from repro.dram.bank import ChannelState
+from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
-from repro.dram.schedulers.base import Scheduler
+from repro.dram.schedulers.base import READY_WINDOW_NS, Scheduler
 
 _QUANTUM_NS = 10_000.0
 _CLUSTER_THRESHOLD = 0.15  # latency cluster's share of total traffic
@@ -29,32 +30,51 @@ class TCMScheduler(Scheduler):
     """Thread-cluster fairness scheduling."""
 
     name = "tcm"
+    queue_type = ChannelQueue
 
     def __init__(self, n_cores: int, seed: int = 0):
         super().__init__(n_cores, seed)
         self._rng = random.Random(seed)
         self.quantum_bytes = [0.0] * n_cores
-        self.latency_cluster = set(range(n_cores))
-        self.rank = list(range(n_cores))
+        self.set_clusters(set(range(n_cores)), list(range(n_cores)))
         self._next_quantum = _QUANTUM_NS
+
+    def set_clusters(
+        self, latency_cluster: Set[int], rank: List[int]
+    ) -> None:
+        """Install the clusters and the per-core priority ``select``
+        ranks by, which changes only with them (once per quantum).
+
+        The latency cluster ranks as -1, ahead of every bandwidth-
+        cluster core: those always hold a rank >= 0 (all cores start
+        in the latency cluster, and _reclassify ranks the rest 0..k-1).
+        """
+        self.latency_cluster = latency_cluster
+        self.rank = rank
+        self._priority = [
+            -1 if core in latency_cluster else r
+            for core, r in enumerate(rank)
+        ]
 
     def _reclassify(self) -> None:
         total = sum(self.quantum_bytes)
         order = sorted(range(self.n_cores), key=lambda c: self.quantum_bytes[c])
-        self.latency_cluster = set()
+        latency_cluster = set()
         acc = 0.0
         for core in order:
             if total == 0 or (
                 (acc + self.quantum_bytes[core]) <= _CLUSTER_THRESHOLD * total
             ):
-                self.latency_cluster.add(core)
+                latency_cluster.add(core)
                 acc += self.quantum_bytes[core]
         bandwidth_cores = [
-            c for c in range(self.n_cores) if c not in self.latency_cluster
+            c for c in range(self.n_cores) if c not in latency_cluster
         ]
         self._rng.shuffle(bandwidth_cores)
         ranking = {core: i for i, core in enumerate(bandwidth_cores)}
-        self.rank = [ranking.get(c, -1) for c in range(self.n_cores)]
+        self.set_clusters(
+            latency_cluster, [ranking.get(c, -1) for c in range(self.n_cores)]
+        )
         self.quantum_bytes = [0.0] * self.n_cores
 
     def _tick(self, now: float) -> None:
@@ -63,19 +83,15 @@ class TCMScheduler(Scheduler):
             self._next_quantum += _QUANTUM_NS
 
     def select(
-        self, queue: Sequence[Request], channel: ChannelState, now: float
+        self, queue: ChannelQueue, channel: ChannelState, now: float
     ) -> Request:
-        self._tick(now)
-        # The latency cluster ranks as -1, ahead of every bandwidth-
-        # cluster core: those always hold a rank >= 0 (all cores start
-        # in the latency cluster, and _reclassify ranks the rest 0..k-1).
-        latency = self.latency_cluster
-        priority = [
-            -1 if core in latency else rank
-            for core, rank in enumerate(self.rank)
-        ]
-        return self.priority_select(queue, channel, now, priority)
+        if now >= self._next_quantum:
+            self._tick(now)
+        return queue.select_ready(
+            channel, now, READY_WINDOW_NS, self._priority
+        )
 
     def on_dispatch(self, request: Request, now: float) -> None:
-        self._tick(now)
+        if now >= self._next_quantum:
+            self._tick(now)
         self.quantum_bytes[request.core] += 64.0

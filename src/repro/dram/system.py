@@ -17,9 +17,8 @@ from repro.dram.address import AddressMapper
 from repro.dram.bank import ChannelState
 from repro.dram.cores import CoreConfig, CoreState, staggered_base
 from repro.dram.metrics import DramMetrics
-from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
-from repro.dram.schedulers import make_scheduler
+from repro.dram.schedulers import Scheduler, make_scheduler
 from repro.dram.timing import DDR4_3200, DramTiming
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
@@ -147,10 +146,11 @@ class CMPSystem:
         Seed for stochastic policies (TCM shuffle, SMS probabilistic
         stage); the engine itself is deterministic.
     queue_factory:
-        Channel queue container. The default :class:`ChannelQueue`
-        gives O(1) removal and indexed open-row lookup; ``list``
-        restores the seed's linear-scan behaviour (kept for debugging
-        and for the equivalence tests — results are bit-identical).
+        Channel queue container override. By default each channel gets
+        the policy's own ``queue_type``, which indexes only what its
+        ``select`` reads; :class:`repro.dram.queue.ScanQueue` answers
+        every policy by scanning (kept for debugging and for the
+        equivalence tests — results are bit-identical).
     tracer:
         Explicit tracer override; by default each :meth:`run` resolves
         the active :mod:`repro.obs.runtime` session. Tracing records the
@@ -164,7 +164,7 @@ class CMPSystem:
         timing: DramTiming = DDR4_3200,
         policy: str = "frfcfs",
         seed: int = 0,
-        queue_factory: Callable[[], object] = ChannelQueue,
+        queue_factory: Optional[Callable[[], object]] = None,
         tracer=None,
     ):
         self.timing = timing
@@ -203,9 +203,12 @@ class CMPSystem:
             ChannelState(index=i, timing=self.timing)
             for i in range(self.timing.channels)
         ]
-        queues = [self.queue_factory() for _ in channels]
+        queue_type = self.queue_factory or scheduler.queue_type
+        queues = [queue_type() for _ in channels]
+        # Each channel's queue length, kept here so the loop never
+        # calls a queue's __len__.
+        queued = [0] * len(channels)
         serve_scheduled = [False] * len(channels)
-        metrics = DramMetrics()
         buffer_used = 0
         buffer_cap = self.timing.request_buffer
         buffer_waiters = BufferWaitQueue()
@@ -250,14 +253,22 @@ class CMPSystem:
         heappop = heapq.heappop
         seq = itertools.count().__next__
         select = scheduler.select
-        on_dispatch = scheduler.on_dispatch
+        on_dispatch = (
+            scheduler.on_dispatch
+            if type(scheduler).on_dispatch is not Scheduler.on_dispatch
+            else None
+        )
         mapper = self.mapper
         line_bits = mapper.LINE_BITS
         channel_mask = mapper.channel_mask
         bank_shift = mapper.bank_shift
         bank_bits = mapper.bank_bits
         bank_mask = mapper.bank_mask
-        record = metrics.record
+        # DramMetrics' counters, filled in once after the loop.
+        row_hits = 0
+        latencies: List[float] = []
+        add_latency = latencies.append
+        latency_sum = 0.0
         add_waiter = buffer_waiters.add
         pop_waiter = buffer_waiters.pop
         events: List[Tuple[float, int, int, int]] = []
@@ -323,6 +334,7 @@ class CMPSystem:
                         request_ids(), payload, ch, bank, row, now, is_write
                     )
                     queues[ch].append(request)
+                    queued[ch] += 1
                     if trace_on:
                         tracer.emit_event(
                             "req.enqueue",
@@ -403,11 +415,17 @@ class CMPSystem:
                 if trace_on or metrics_on:
                     outcome = _row_outcome(channel, request)
                 queue.remove(request)
+                queued[ch] -= 1
                 buffer_used -= 1
                 completion = channel.dispatch(request, now)
-                on_dispatch(request, now)
+                if on_dispatch is not None:
+                    on_dispatch(request, now)
                 core = request.core
                 latency = completion - request.arrival_ns
+                if request.row_hit:
+                    row_hits += 1
+                add_latency(latency)
+                latency_sum += latency
                 if trace_on:
                     tracer.emit_event(
                         "sched.select",
@@ -416,7 +434,7 @@ class CMPSystem:
                         category="dram",
                         args=(
                             policy_pair,
-                            ("queue_len", len(queue) + 1),
+                            ("queue_len", queued[ch] + 1),
                             ("req_id", request.req_id),
                         ),
                     )
@@ -442,7 +460,6 @@ class CMPSystem:
                     obs_metrics.histogram(
                         "dram.latency_ns", LATENCY_BUCKETS_NS
                     ).observe(latency)
-                record(core, bool(request.row_hit), latency)
                 if request.is_write:
                     # Posted write: the core already moved on; account
                     # the completion here without a core event.
@@ -457,7 +474,7 @@ class CMPSystem:
                             break
                 else:
                     heappush(events, (completion, seq(), _COMPLETE, core))
-                if queue:
+                if queued[ch]:
                     serve_scheduled[ch] = True
                     heappush(
                         events,
@@ -489,6 +506,7 @@ class CMPSystem:
             run_span.close()
         if metrics_on:
             obs_metrics.counter("dram.runs").inc()
+        metrics = DramMetrics(row_hits, latency_sum, latencies)
         results = tuple(
             CoreResult(
                 index=s.index,

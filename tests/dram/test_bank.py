@@ -1,5 +1,7 @@
 """Bank/channel state transitions."""
 
+import dataclasses
+
 import pytest
 
 from repro.dram.bank import BankState, ChannelState
@@ -100,3 +102,24 @@ class TestChannelDispatch:
         completion = channel.dispatch(r, 0.0)
         assert r.completion_ns == completion
         assert completion > channel.bus_free_at  # CAS after burst
+
+    @pytest.mark.parametrize(
+        "open_row", (None, 7, 9), ids=("miss", "hit", "conflict")
+    )
+    def test_dispatch_times_burst_at_earliest_data_start(self, open_row):
+        """dispatch inlines prep_time and earliest_data_start: its burst
+        starts where earliest_data_start says, with the hit flag of
+        prep_time. tRP differs from tRCD here, so a miss and a conflict
+        cannot be confused (DDR4-3200 has tRP == tRCD)."""
+        timing = dataclasses.replace(DDR4_3200, t_rp_ns=11.0, t_rcd_ns=17.0)
+        channel = ChannelState(index=0, timing=timing)
+        if open_row is not None:
+            channel.dispatch(req(0, bank=3, row=open_row), 0.0)
+        now = channel.bus_free_at + 2.5
+        r = req(1, bank=3, row=7, arrival=1.0)
+        start = channel.earliest_data_start(r, now)
+        _, hit = channel.bank(3).prep_time(7, timing)
+        completion = channel.dispatch(r, now)
+        assert r.row_hit is hit is (open_row == 7)
+        assert channel.bus_free_at == start + timing.t_burst_ns
+        assert completion == start + timing.t_burst_ns + timing.t_cas_ns

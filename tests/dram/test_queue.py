@@ -1,4 +1,5 @@
-"""ChannelQueue indexing, buffer-waiter FIFO, and fast-path equivalence."""
+"""Per-policy queue indexing, buffer-waiter FIFO, and equivalence with
+the ScanQueue oracle."""
 
 import contextlib
 import dataclasses
@@ -12,15 +13,16 @@ from repro.dram import trace
 from repro.dram.address import AddressMapper
 from repro.dram.bank import ChannelState
 from repro.dram.cores import CoreConfig, CoreState, staggered_base
-from repro.dram.queue import ChannelQueue
+from repro.dram.queue import ArrivalQueue, ChannelQueue, CoreQueue, ScanQueue
 from repro.dram.request import Request
-from repro.dram.schedulers import atlas
+from repro.dram.schedulers import atlas, make_scheduler
 from repro.dram.schedulers.base import READY_WINDOW_NS, Scheduler
 from repro.dram.schedulers.frfcfs import FRFCFSScheduler
 from repro.dram.system import BufferWaitQueue, CMPSystem
 from repro.dram.timing import DDR4_3200
 
 POLICIES = ("fcfs", "frfcfs", "atlas", "tcm", "sms")
+INDEXED = (ArrivalQueue, CoreQueue, ChannelQueue)
 
 
 def make_request(req_id, bank=0, row=0, arrival=0.0, core=0):
@@ -36,33 +38,38 @@ def make_request(req_id, bank=0, row=0, arrival=0.0, core=0):
 
 class TestChannelQueue:
     def test_append_iter_len(self):
-        queue = ChannelQueue()
-        requests = [make_request(i, bank=i % 2) for i in range(5)]
-        for r in requests:
-            queue.append(r)
-        assert len(queue) == 5
-        assert bool(queue)
-        assert [r.req_id for r in queue] == list(range(5))
+        for queue_type in INDEXED:
+            queue = queue_type()
+            requests = [make_request(i, bank=i % 2) for i in range(5)]
+            for r in requests:
+                queue.append(r)
+            assert len(queue) == 5
+            assert bool(queue)
+            assert [r.req_id for r in queue] == list(range(5))
 
     def test_removal_keeps_arrival_order(self):
-        queue = ChannelQueue()
-        requests = [
-            make_request(i, bank=i % 3, arrival=float(i), core=i % 2)
-            for i in range(8)
-        ]
-        for r in requests:
-            queue.append(r)
-        for victim in (requests[0], requests[4], requests[7]):
-            queue.remove(victim)
-        assert [r.req_id for r in queue] == [1, 2, 3, 5, 6]
-        assert queue.oldest() is requests[1]
-        assert {c: list(g) for c, g in queue.by_core().items()} == {
-            1: [1, 3, 5],
-            0: [2, 6],
-        }
-        for r in list(queue):
-            queue.remove(r)
-        assert not queue.by_core()
+        for queue_type in INDEXED:
+            queue = queue_type()
+            requests = [
+                make_request(i, bank=i % 3, arrival=float(i), core=i % 2)
+                for i in range(8)
+            ]
+            for r in requests:
+                queue.append(r)
+            for victim in (requests[0], requests[4], requests[7]):
+                queue.remove(victim)
+            assert [r.req_id for r in queue] == [1, 2, 3, 5, 6]
+            assert queue.oldest() is requests[1]
+            if queue_type is CoreQueue:
+                assert {c: list(g) for c, g in queue.by_core().items()} == {
+                    1: [1, 3, 5],
+                    0: [2, 6],
+                }
+            for r in list(queue):
+                queue.remove(r)
+            assert not queue
+            if queue_type is CoreQueue:
+                assert not queue.by_core()
 
     def test_ready_materialises_exactly_the_queued_banks(self):
         """Refresh only touches materialised banks, so select_ready()
@@ -81,8 +88,8 @@ class TestChannelQueue:
         chosen = queue.select_ready(indexed, 20.0, READY_WINDOW_NS, priority)
         pool = Scheduler.ready_subset(list(queue), scanned, 20.0)
         assert {r.req_id for r in pool} == {0, 1, 2}
-        assert chosen is Scheduler.priority_hit_oldest(
-            pool, scanned, priority
+        assert chosen is ScanQueue(queue).select_ready(
+            scanned, 20.0, READY_WINDOW_NS, priority
         )
         assert sorted(indexed.banks) == sorted(scanned.banks) == [0, 2, 5, 7]
 
@@ -105,8 +112,8 @@ class TestChannelQueue:
         # Core 0 ranks first; its request 2 hits bank 3's open row and
         # beats its older miss, request 1.
         assert chosen.req_id == 2
-        assert chosen is Scheduler.priority_hit_oldest(
-            pool, scanned, priority
+        assert chosen is ScanQueue(queue).select_ready(
+            scanned, 0.0, READY_WINDOW_NS, priority
         )
         assert sorted(indexed.banks) == sorted(scanned.banks) == [1, 3]
 
@@ -164,14 +171,14 @@ class TestChannelQueue:
             queue.append(make_request(i, bank=0, row=i % 2))
         channel.bank(0).open_row = 1
         assert [r.req_id for r in queue.open_row_hits(channel)] == [1]
-        # row_hits is the scan: every hit, from any sequence
-        hits = Scheduler.row_hits(queue, channel)
+        # ScanQueue's open_row_hits is the scan: every hit
+        hits = ScanQueue(queue).open_row_hits(channel)
         assert sorted(r.req_id for r in hits) == [1, 3, 5]
-        # FR-FCFS reads the index's heads; a list takes the scan path
+        # FR-FCFS reads the index's heads; a ScanQueue scans
         scheduler = FRFCFSScheduler(n_cores=1)
-        chosen = scheduler.hit_first_oldest(queue, channel)
+        chosen = scheduler.select(queue, channel, 0.0)
         assert chosen.req_id == 1
-        assert chosen is scheduler.hit_first_oldest(list(queue), channel)
+        assert chosen is scheduler.select(ScanQueue(queue), channel, 0.0)
 
 
 class TestBufferWaitQueue:
@@ -222,9 +229,9 @@ class TestFastQueueEquivalence:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_bit_identical_to_list_queue(self, policy):
         fast = CMPSystem(policy=policy, seed=3).run(mixed_cores())
-        slow = CMPSystem(policy=policy, seed=3, queue_factory=list).run(
-            mixed_cores()
-        )
+        slow = CMPSystem(
+            policy=policy, seed=3, queue_factory=ScanQueue
+        ).run(mixed_cores())
         assert fast == slow
 
     @pytest.mark.parametrize("policy", ("frfcfs", "tcm"))
@@ -235,7 +242,7 @@ class TestFastQueueEquivalence:
         timing = dataclasses.replace(DDR4_3200, request_buffer=8)
         fast = CMPSystem(timing=timing, policy=policy).run(mixed_cores(8))
         slow = CMPSystem(
-            timing=timing, policy=policy, queue_factory=list
+            timing=timing, policy=policy, queue_factory=ScanQueue
         ).run(mixed_cores(8))
         assert fast == slow
         for core in fast.cores:
@@ -244,7 +251,7 @@ class TestFastQueueEquivalence:
 
     def test_stop_cores_with_fast_queue(self):
         fast = CMPSystem(policy="frfcfs").run(mixed_cores(), stop_cores={0})
-        slow = CMPSystem(policy="frfcfs", queue_factory=list).run(
+        slow = CMPSystem(policy="frfcfs", queue_factory=ScanQueue).run(
             mixed_cores(), stop_cores={0}
         )
         assert fast == slow
@@ -384,29 +391,31 @@ class TestReadyProperty:
     def test_ready_set_matches_scan(
         self, now, window, banks, specs, removed, priority
     ):
-        """The fused select_ready pass picks the request of
-        priority_hit_oldest over the scanned ready_subset, and
-        materialises the same banks."""
+        """The fused select_ready pass picks ScanQueue's request
+        (the keyed minimum over the scanned ready_subset), and
+        materialises the same banks. Every indexed queue iterates in
+        arrival order, and its head and per-core groups are the scan's."""
         limit = now + window
         # Oldest first, as the event loop appends; ties keep req_id order.
         specs = sorted(specs, key=lambda s: s[3])
-        queue = ChannelQueue()
+        queues = [queue_type() for queue_type in INDEXED]
+        reference = ScanQueue()
         for req_id, (bank, row, core, offset) in enumerate(specs):
-            queue.append(
-                make_request(req_id, bank, row, limit + offset, core=core)
-            )
-        for r in list(queue):
+            r = make_request(req_id, bank, row, limit + offset, core=core)
+            for q in (*queues, reference):
+                q.append(r)
+        for r in list(reference):
             if r.req_id in removed:
-                queue.remove(r)
-        reference = list(queue)
+                for q in (*queues, reference):
+                    q.remove(r)
+        arrivals, cores, queue = queues
 
         if reference:
             indexed = _channel_with(banks, limit)
             scanned = _channel_with(banks, limit)
             chosen = queue.select_ready(indexed, now, window, priority)
-            pool = Scheduler.ready_subset(reference, scanned, now, window)
-            assert chosen is Scheduler.priority_hit_oldest(
-                pool, scanned, priority
+            assert chosen is reference.select_ready(
+                scanned, now, window, priority
             )
             # Same banks materialised as the scan: the set refresh touches.
             assert sorted(indexed.banks) == sorted(scanned.banks)
@@ -415,13 +424,13 @@ class TestReadyProperty:
         assert reference == sorted(
             reference, key=lambda r: (r.arrival_ns, r.req_id)
         )
-        if reference:
-            assert queue.oldest() is Scheduler.oldest(reference)
-            assert Scheduler.head(queue) is Scheduler.head(reference)
-        for core, group in queue.by_core().items():
-            assert list(group.values()) == [
-                r for r in reference if r.core == core
-            ]
+        for q in queues:
+            assert list(q) == reference
+            if reference:
+                assert q.oldest() is reference.oldest()
+        assert {c: list(g) for c, g in cores.by_core().items()} == {
+            c: list(g) for c, g in reference.by_core().items()
+        }
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +485,9 @@ def recording_channels():
 
 @functools.lru_cache(maxsize=None)
 def saturated_run(policy, indexed, timing=SATURATED):
-    factory = ChannelQueue if indexed else list
+    """One saturated run on the policy's own queue (``indexed``) or on
+    the ScanQueue oracle."""
+    factory = None if indexed else ScanQueue
     with recording_channels() as (refreshes, channels):
         result = CMPSystem(
             timing=timing, policy=policy, seed=3, queue_factory=factory
@@ -516,7 +527,7 @@ class TestSaturatedEquivalence:
         select = atlas.AtlasScheduler.select
 
         def counting_select(self, queue, channel, now):
-            head = Scheduler.oldest(list(queue))
+            head = ScanQueue(queue).oldest()
             over.append(now - head.arrival_ns > atlas._OVER_THRESHOLD_NS)
             return select(self, queue, channel, now)
 
@@ -533,3 +544,63 @@ class TestSaturatedEquivalence:
         assert fast == slow
         assert fast_refreshes == slow_refreshes
         assert all(c.completed == c.issued for c in fast.cores)
+
+
+# ----------------------------------------------------------------------
+# Each policy's own queue, and the one dispatch per served request
+# ----------------------------------------------------------------------
+DECLARED = {
+    "fcfs": ArrivalQueue,
+    "frfcfs": ChannelQueue,
+    "atlas": ChannelQueue,
+    "tcm": ChannelQueue,
+    "sms": CoreQueue,
+}
+
+
+class TestPolicyQueues:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_policy_runs_on_its_declared_queue(self, policy, monkeypatch):
+        """CMPSystem builds the queue the policy names, and only an
+        explicit queue_factory overrides it."""
+        cls = type(make_scheduler(policy, n_cores=1))
+        assert cls.queue_type is DECLARED[policy]
+        seen = []
+        select = cls.select
+
+        def recording_select(self, queue, channel, now):
+            seen.append(type(queue))
+            return select(self, queue, channel, now)
+
+        monkeypatch.setattr(cls, "select", recording_select)
+        CMPSystem(policy=policy, seed=3).run(mixed_cores(requests=60))
+        assert seen and set(seen) == {DECLARED[policy]}
+        seen.clear()
+        CMPSystem(policy=policy, seed=3, queue_factory=ScanQueue).run(
+            mixed_cores(requests=60)
+        )
+        assert seen and set(seen) == {ScanQueue}
+
+    @pytest.mark.parametrize("indexed", (True, False), ids=("own", "scan"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_dispatch_once_per_served_request(
+        self, policy, indexed, monkeypatch
+    ):
+        """ChannelState.dispatch is the single per-request issue call:
+        every served request passes through it exactly once."""
+        dispatched = []
+        dispatch = ChannelState.dispatch
+
+        def counting_dispatch(self, request, now):
+            dispatched.append(request.req_id)
+            return dispatch(self, request, now)
+
+        monkeypatch.setattr(ChannelState, "dispatch", counting_dispatch)
+        factory = None if indexed else ScanQueue
+        result = CMPSystem(
+            policy=policy, seed=3, queue_factory=factory
+        ).run(mixed_cores(requests=120))
+        served = sum(c.issued for c in result.cores)
+        assert all(c.completed == c.issued for c in result.cores)
+        assert len(dispatched) == served
+        assert sorted(dispatched) == list(range(served))

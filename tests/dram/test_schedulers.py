@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dram.bank import ChannelState
+from repro.dram.queue import CoreQueue, ScanQueue
 from repro.dram.request import Request
 from repro.dram.schedulers import (
     FAIRNESS_POLICIES,
@@ -59,7 +60,9 @@ class TestRegistry:
 class TestFCFS:
     def test_strictly_oldest(self, channel):
         sched = FCFSScheduler(4)
-        queue = [req(1, arrival=5.0), req(0, arrival=1.0), req(2, arrival=9.0)]
+        queue = ScanQueue(
+            [req(1, arrival=5.0), req(0, arrival=1.0), req(2, arrival=9.0)]
+        )
         assert sched.select(queue, channel, 10.0).req_id == 0
 
     def test_ignores_row_hits(self, channel):
@@ -67,7 +70,7 @@ class TestFCFS:
         sched = FCFSScheduler(4)
         hit = req(1, bank=0, row=7, arrival=5.0)
         miss = req(0, bank=0, row=3, arrival=1.0)
-        assert sched.select([hit, miss], channel, 10.0) is miss
+        assert sched.select(ScanQueue([hit, miss]), channel, 10.0) is miss
 
 
 class TestFRFCFS:
@@ -76,17 +79,22 @@ class TestFRFCFS:
         sched = FRFCFSScheduler(4)
         hit = req(1, bank=0, row=7, arrival=5.0)
         miss = req(0, bank=0, row=3, arrival=1.0)
-        assert sched.select([hit, miss], channel, 10.0) is hit
+        assert sched.select(ScanQueue([hit, miss]), channel, 10.0) is hit
 
     def test_oldest_among_hits(self, channel):
         channel.dispatch(req(99, bank=0, row=7), 0.0)
         sched = FRFCFSScheduler(4)
-        hits = [req(2, bank=0, row=7, arrival=8.0), req(1, bank=0, row=7, arrival=5.0)]
+        hits = ScanQueue([
+            req(2, bank=0, row=7, arrival=8.0),
+            req(1, bank=0, row=7, arrival=5.0),
+        ])
         assert sched.select(hits, channel, 10.0).req_id == 1
 
     def test_falls_back_to_oldest(self, channel):
         sched = FRFCFSScheduler(4)
-        queue = [req(1, row=4, arrival=3.0), req(0, row=9, arrival=1.0)]
+        queue = ScanQueue(
+            [req(1, row=4, arrival=3.0), req(0, row=9, arrival=1.0)]
+        )
         assert sched.select(queue, channel, 10.0).req_id == 0
 
 
@@ -94,10 +102,10 @@ class TestATLAS:
     def test_prefers_least_attained_core(self, channel):
         sched = AtlasScheduler(2)
         sched.attained = [10.0, 0.0]
-        queue = [
+        queue = ScanQueue([
             req(0, core=0, bank=0, row=1, arrival=1.0),
             req(1, core=1, bank=1, row=2, arrival=5.0),
-        ]
+        ])
         assert sched.select(queue, channel, 10.0).core == 1
 
     def test_over_threshold_first(self, channel):
@@ -105,7 +113,8 @@ class TestATLAS:
         sched.attained = [10.0, 0.0]
         starved = req(0, core=0, bank=0, row=1, arrival=0.0)
         fresh = req(1, core=1, bank=1, row=2, arrival=9_999.0)
-        assert sched.select([starved, fresh], channel, 10_000.0) is starved
+        queue = ScanQueue([starved, fresh])
+        assert sched.select(queue, channel, 10_000.0) is starved
 
     def test_dispatch_accumulates_service(self, channel):
         sched = AtlasScheduler(2)
@@ -122,12 +131,11 @@ class TestATLAS:
 class TestTCM:
     def test_latency_cluster_first(self, channel):
         sched = TCMScheduler(2)
-        sched.latency_cluster = {1}
-        sched.rank = [0, -1]
-        queue = [
+        sched.set_clusters({1}, [0, -1])
+        queue = ScanQueue([
             req(0, core=0, bank=0, row=1, arrival=1.0),
             req(1, core=1, bank=1, row=2, arrival=5.0),
-        ]
+        ])
         assert sched.select(queue, channel, 10.0).core == 1
 
     def test_reclassification_uses_traffic(self, channel):
@@ -141,24 +149,23 @@ class TestTCM:
 
     def test_bandwidth_cluster_ranked(self, channel):
         sched = TCMScheduler(3)
-        sched.latency_cluster = set()
-        sched.rank = [2, 0, 1]
-        queue = [
+        sched.set_clusters(set(), [2, 0, 1])
+        queue = ScanQueue([
             req(0, core=0, bank=0, row=1, arrival=1.0),
             req(1, core=1, bank=1, row=2, arrival=5.0),
             req(2, core=2, bank=2, row=3, arrival=2.0),
-        ]
+        ])
         assert sched.select(queue, channel, 10.0).core == 1
 
 
 class TestSMS:
     def test_sticky_batch(self, channel):
         sched = SMSScheduler(2, seed=1)
-        queue = [
+        queue = ScanQueue([
             req(0, core=0, bank=0, row=1, arrival=0.0),
             req(1, core=0, bank=0, row=1, arrival=1.0),
             req(2, core=1, bank=1, row=2, arrival=0.5),
-        ]
+        ])
         first = sched.select(queue, channel, 10.0)
         queue.remove(first)
         second = sched.select(queue, channel, 10.0)
@@ -167,19 +174,17 @@ class TestSMS:
         if first.core == 0:
             assert second.core == 0 and second.row == 1
 
-    @pytest.mark.parametrize("container", ("list", "channel_queue"))
+    @pytest.mark.parametrize("container", ("scan_queue", "core_queue"))
     def test_new_batch_starts_at_core_oldest(self, channel, container):
-        from repro.dram.queue import ChannelQueue
-
         requests = [
             req(0, core=0, bank=0, row=1, arrival=0.0),
             req(1, core=0, bank=0, row=1, arrival=1.0),
             req(2, core=0, bank=0, row=3, arrival=2.0),
         ]
-        if container == "list":
-            queue = list(reversed(requests))  # scan path sorts by arrival
+        if container == "scan_queue":
+            queue = ScanQueue(reversed(requests))  # by_core sorts by arrival
         else:
-            queue = ChannelQueue()
+            queue = CoreQueue()
             for r in requests:
                 queue.append(r)
         sched = SMSScheduler(1, seed=1)
@@ -195,8 +200,8 @@ class TestSMS:
             req(0, core=0, bank=0, row=1, arrival=0.0),
             req(1, core=1, bank=1, row=2, arrival=0.5),
         ]
-        a = SMSScheduler(2, seed=42).select(list(queue), channel, 10.0)
-        b = SMSScheduler(2, seed=42).select(list(queue), channel, 10.0)
+        a = SMSScheduler(2, seed=42).select(ScanQueue(queue), channel, 10.0)
+        b = SMSScheduler(2, seed=42).select(ScanQueue(queue), channel, 10.0)
         assert a.req_id == b.req_id
 
 

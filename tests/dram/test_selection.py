@@ -2,9 +2,8 @@
 
 ATLAS and TCM pick the lexicographic minimum of one key over the ready
 pool: on a :class:`ChannelQueue` in one fused pass
-(:meth:`ChannelQueue.select_ready`), on a list with
-:meth:`Scheduler.priority_hit_oldest` over the scanned
-:meth:`Scheduler.ready_subset`. The reference below is the rule as the
+(:meth:`ChannelQueue.select_ready`), on a :class:`ScanQueue` with a
+keyed ``min`` over the scanned :meth:`ScanQueue.ready_subset`. The reference below is the rule as the
 paper's Table 2 states it, stage by stage: keep the least-attained core
 (ATLAS) or the latency cluster, else the best rank (TCM); among those
 prefer row hits; among those the oldest. FR-FCFS reads only the head of
@@ -15,7 +14,7 @@ oldest of every hit.
 from hypothesis import example, given, settings, strategies as st
 
 from repro.dram.bank import ChannelState
-from repro.dram.queue import ChannelQueue
+from repro.dram.queue import ChannelQueue, ScanQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.atlas import AtlasScheduler
 from repro.dram.schedulers.frfcfs import FRFCFSScheduler
@@ -91,7 +90,7 @@ def build(specs, banks, hits, indexed):
         # Without hits, every open row is one no request targets.
         channel.bank(index).open_row = open_row if hits else 9
         channel.bank(index).ready_at = ready_at
-    queue = ChannelQueue() if indexed else []
+    queue = ChannelQueue() if indexed else ScanQueue()
     # Appended oldest first, req_ids ascending: the event loop's order.
     ordered = sorted(specs, key=lambda s: s[3])
     for req_id, (core, bank, row, arrival) in enumerate(ordered):

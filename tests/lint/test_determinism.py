@@ -65,7 +65,7 @@ def test_traced_runs_are_bit_identical(scenario):
 def test_scenarios_are_nontrivial(monkeypatch):
     import json
 
-    from repro.dram.queue import ChannelQueue
+    from repro.dram.queue import ChannelQueue, CoreQueue
     from repro.dram.timing import DDR4_3200
     from repro.lint import determinism
     from repro.lint.determinism import run_scenario as run_inline
@@ -75,17 +75,26 @@ def test_scenarios_are_nontrivial(monkeypatch):
     assert soc["result"]["elapsed"] > 0
 
     # The dram scenario must saturate the controller so that selection
-    # goes through the queue's ready index, not just its head.
+    # goes through the queue's ready index, not just its head, and SMS
+    # must read its own queue's per-core index.
     ready_calls = []
+    core_calls = []
     select_ready = ChannelQueue.select_ready
+    by_core = CoreQueue.by_core
 
     def counting_select_ready(*args, **kwargs):
         ready_calls.append(1)
         return select_ready(*args, **kwargs)
 
+    def counting_by_core(*args, **kwargs):
+        core_calls.append(1)
+        return by_core(*args, **kwargs)
+
     monkeypatch.setattr(ChannelQueue, "select_ready", counting_select_ready)
+    monkeypatch.setattr(CoreQueue, "by_core", counting_by_core)
     dram = json.loads(run_inline("dram"))
     assert ready_calls, "dram scenario never selected through select_ready"
+    assert core_calls, "SMS never selected through CoreQueue.by_core"
     assert determinism.DRAM_DEMAND_GBPS > DDR4_3200.peak_bw_gbps
     assert sorted(dram["results"]) == sorted(determinism.DRAM_POLICIES)
     for result in dram["results"].values():
